@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import emit_bench
-from repro import diagnose
+from repro import diagnose, obs
 from repro.experiments import table6
 
 
@@ -24,7 +24,7 @@ def test_attribution_overhead_and_3c(benchmark, runner):
     collector = diagnose.Collector()
 
     def attributed():
-        with diagnose.use(collector):
+        with obs.use(collector=collector):
             return table6.compute(runner)
 
     started = time.perf_counter()

@@ -47,7 +47,8 @@ def runner():
 
     # Benchmarks run observed: spans/events/metrics from the pipeline and
     # the simulators accumulate here and land in BENCH_observability.json.
-    _SHARED_RECORDER = obs.install(obs.Recorder(meta={"suite": "benchmarks"}))
+    _SHARED_RECORDER = obs.Recorder(meta={"suite": "benchmarks"})
+    obs.install(_SHARED_RECORDER)
     shared = default_runner()
     shared.telemetry = Telemetry(registry=_SHARED_RECORDER.metrics)
     for name in shared.names():

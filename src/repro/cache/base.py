@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import diagnose, obs
+from repro import diagnose
+from repro.obs import context
 
 __all__ = [
     "CacheStats",
@@ -120,7 +121,7 @@ def new_probe(
     recording behind ``probe is not None`` — the off path stays
     byte-identical and does no extra work.
     """
-    if not diagnose.current().enabled:
+    if not context.current().collector.enabled:
         return None
     return diagnose.MissProbe(granule_bytes, capacity_bytes)
 
@@ -135,20 +136,21 @@ def emit_cache_sim(
     addresses=None,
     probe=None,
 ) -> None:
-    """Report one finished simulation to the active recorder and collector.
+    """Report one finished simulation to the current recorder and collector.
 
-    A no-op under the null recorder / null collector.  The obs event
-    inherits whatever span context is open (workload, layout, table),
-    which is how the report renderer attributes conflict sets to
-    workloads; the diagnose collector classifies the probe's miss stream
-    (3C + symbols) under its ambient scope.
+    A no-op under the null sinks.  The obs event inherits whatever span
+    context is open (workload, layout, table), which is how the report
+    renderer attributes conflict sets to workloads; the diagnose
+    collector classifies the probe's miss stream (3C + symbols) under
+    its ambient scope.
     """
+    sinks = context.current()
     if probe is not None and addresses is not None:
-        diagnose.current().record(
+        sinks.collector.record(
             organization, cache_bytes, block_bytes, addresses, probe,
             set_misses=set_misses,
         )
-    recorder = obs.current()
+    recorder = sinks.recorder
     if not recorder.enabled:
         return
     fields = {

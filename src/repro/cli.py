@@ -194,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "contained flamegraph to PREFIX.html "
                             "(zero overhead when absent)")
     _add_cache_arguments(table)
+    table.set_defaults(usage=table.format_usage)
 
     tune = sub.add_parser(
         "tune", help="search the placement/cache design space"
@@ -603,11 +604,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     name = args.name
     if name not in TABLE_CHOICES:
         print(
-            f"repro table: unknown table {name!r}\n"
-            f"usage: repro table NAME [--scale {{default,small}}] "
-            f"[--jobs N] [--retries N] [--job-timeout SECONDS] "
-            f"[--cache-dir PATH] [--no-cache] [--telemetry PATH] "
-            f"[--trace-out PATH] [--chrome-trace PATH]\n"
+            f"repro table: unknown table {name!r}\n{args.usage()}"
             f"NAME is one of: {', '.join(TABLE_CHOICES)}",
             file=sys.stderr,
         )
@@ -648,8 +645,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         cache_dir, use_cache = temp_cache.name, True
     failure = None
     try:
-        with obs.use(recorder), diagnose.use(collector), \
-                perf_profiler.use(profiler):
+        with obs.use(recorder, collector, profiler):
             values = run_jobs(
                 table_plan(tables, args.scale, opt=args.opt),
                 jobs=args.jobs,
@@ -752,7 +748,7 @@ def _cmd_tune_run(args: argparse.Namespace) -> int:
         temp_cache = tempfile.TemporaryDirectory(prefix="repro-cache-")
         cache_dir, use_cache = temp_cache.name, True
     try:
-        with obs.use(recorder), perf_profiler.use(profiler):
+        with obs.use(recorder, profiler=profiler):
             result = run_search(
                 space,
                 make_strategy(args.strategy, args.seed),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro import diagnose
 from repro.diagnose.classify import Attribution
+from repro.obs import context
 
 __all__ = [
     "explain",
@@ -113,7 +114,7 @@ def explain_with_runner(
     without the middle-end.
     """
     collector = diagnose.Collector()
-    with diagnose.use(collector):
+    with context.use(collector=collector):
         for which in (layout, baseline):
             addresses = runner.addresses(workload, which)
             with collector.scope(workload=workload, layout=which):
@@ -171,7 +172,7 @@ def _render_opt_section(
         store=runner.store,
     )
     collector = diagnose.Collector()
-    with diagnose.use(collector):
+    with context.use(collector=collector):
         addresses = opt_runner.addresses(workload, "optimized")
         with collector.scope(workload=workload, layout="opt"):
             _simulate(addresses, cache_bytes, block_bytes, assoc)

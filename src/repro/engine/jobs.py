@@ -39,9 +39,11 @@ import numpy as np
 
 from repro import diagnose, obs
 from repro.engine import faults
-from repro.perf import profiler as perf_profiler
 from repro.engine.store import ArtifactStore
 from repro.engine.telemetry import JobRecord, Telemetry
+from repro.obs import context
+from repro.obs.context import InstrumentPayload, InstrumentSpec
+from repro.perf.profiler import ProfileCollector
 
 __all__ = [
     "ALL_TABLE_NAMES",
@@ -77,25 +79,18 @@ class JobOutcome:
 
     ``counters`` carries store-side robustness counts (today just
     ``quarantined``) for the scheduler to fold into the run telemetry.
-    ``obs_records``/``obs_metrics`` carry the worker's observability
-    spans, events, and metric snapshot when the run is being traced
-    (empty otherwise — an unobserved run ships no extra bytes).
-    ``attribution`` likewise carries the worker's serialized 3C miss
-    attribution (:meth:`repro.diagnose.Collector.to_dict`) when the run
-    was started with attribution on, and is empty otherwise.
-    ``profile`` carries the worker's collapsed hot-path stacks
-    (``{"a;b;c": seconds}``, :mod:`repro.perf.profiler`) when the run
-    was started with ``--profile-out``, and is empty otherwise.
+    ``instruments`` carries whatever the job's own sinks collected —
+    spans, events and metrics, 3C attributions, collapsed profile
+    stacks — when it ran where its caller's sinks could not reach
+    (:class:`~repro.obs.context.InstrumentPayload`, empty otherwise: an
+    uninstrumented run ships no extra bytes).
     """
 
     job_id: str
     value: object
     records: list[JobRecord] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    obs_records: list = field(default_factory=list)
-    obs_metrics: dict = field(default_factory=dict)
-    attribution: dict = field(default_factory=dict)
-    profile: dict = field(default_factory=dict)
+    instruments: InstrumentPayload = field(default_factory=InstrumentPayload)
 
 
 def workloads_for_table(table: str) -> tuple[str, ...]:
@@ -210,10 +205,7 @@ def execute_job(
     use_cache: bool = True,
     runner=None,
     attempt: int = 0,
-    observe: bool = False,
-    attribute: bool = False,
-    trace: str | None = None,
-    profile: bool = False,
+    instruments: InstrumentSpec = InstrumentSpec(),
 ) -> JobOutcome:
     """Run one job; the sequential scheduler and pool workers both use this.
 
@@ -224,28 +216,17 @@ def execute_job(
     its injected failures) but **not** the PRNG seed, which depends only
     on the job id so retried work stays byte-identical.
 
-    ``observe=True`` makes a worker process (where no recorder is
-    installed) collect observability spans/events for this job and ship
-    them back in the outcome; in-process callers inherit whatever
-    recorder is already current, so their records flow in directly.
-    ``attribute=True`` does the same for 3C miss attribution: a worker
-    installs a fresh :class:`repro.diagnose.Collector` and ships its
-    serialized entries; in-process callers record straight into the
-    collector the caller installed.
-
-    ``profile=True`` wraps the job's execution in cProfile the same
-    way: a worker (or forked child) collects into a fresh
-    :class:`repro.perf.profiler.ProfileCollector` and ships its
-    collapsed stacks; in-process callers capture straight into the
-    collector the caller installed.  Profiling never touches seeding
-    or outputs — profiled and unprofiled runs are byte-identical.
-
-    ``trace`` carries the service request's trace id across the fork:
-    the fresh recorder a pool child creates stamps every span/event
-    with it, so once the records ship back and land in the trace-dir
-    dump they still join to the request that caused them.  It never
-    touches seeding or outputs — traced and untraced runs are
-    byte-identical.
+    The job records into this thread's sinks
+    (:func:`repro.obs.context.current`).  ``instruments`` names the sinks
+    the caller wants fed; any of them that is not live here — none is
+    installed (a spawned worker), or the current one was inherited across
+    a fork and can never travel back — is replaced for the job by a fresh
+    one, whose contents ship home in the outcome's ``instruments``
+    payload.  In-process callers need not pass it: their sinks are live.
+    The spec's trace id stamps a fresh recorder's spans and events, so
+    records shipped from a pool child still join the service request
+    that caused them.  Instrumentation never touches seeding or outputs
+    — instrumented and plain runs are byte-identical.
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -255,48 +236,9 @@ def execute_job(
     random.seed(seed)
     np.random.seed(seed)
 
-    recorder = obs.current()
-    own_recorder = None
-    if observe and (
-        not recorder.enabled
-        or getattr(recorder, "_pid", None) != os.getpid()
-    ):
-        # Either no recorder is installed (spawned worker) or the current
-        # one was inherited across a fork — its in-memory records can
-        # never travel back to the parent, so collect into a fresh
-        # recorder and ship the records through the outcome instead.
-        own_recorder = obs.Recorder(trace=trace)
-        obs.install(own_recorder)
-        recorder = own_recorder
-
-    collector = diagnose.current()
-    own_collector = None
-    if attribute and (
-        not collector.enabled
-        or getattr(collector, "_pid", None) != os.getpid()
-    ):
-        # Same reasoning as the recorder above: a worker (or a forked
-        # child) cannot mutate the parent's collector, so record into a
-        # fresh one and ship the entries through the outcome.
-        own_collector = diagnose.Collector()
-        diagnose.install(own_collector)
-
-    profiler = perf_profiler.NULL
-    own_profiler = None
-    if profile:
-        profiler = perf_profiler.current()
-        if (
-            not profiler.enabled
-            or getattr(profiler, "_pid", None) != os.getpid()
-        ):
-            # Same reasoning again: a worker's collapsed stacks travel
-            # home through the outcome, not through shared memory.
-            own_profiler = perf_profiler.ProfileCollector()
-            perf_profiler.install(own_profiler)
-            profiler = own_profiler
-
+    own = _own_sinks(instruments)
     telemetry = Telemetry()
-    try:
+    with context.use(**own) as sinks:
         tuned = spec.params.get("placement")
         if spec.kind == "trial" or tuned is not None:
             # Autotuner work runs under the candidate's placement options
@@ -341,9 +283,9 @@ def execute_job(
             if value is not None
         }
         started = time.perf_counter()
-        with recorder.span("job", cat="engine", job_id=spec.job_id,
-                           kind=spec.kind, **span_attrs), \
-                profiler.capture():
+        with sinks.recorder.span("job", cat="engine", job_id=spec.job_id,
+                                 kind=spec.kind, **span_attrs), \
+                sinks.profiler.capture():
             if spec.kind == "artifacts":
                 runner.artifacts(spec.params["workload"])
                 value = None
@@ -379,21 +321,27 @@ def execute_job(
         counters = {}
         if store is not None and store.quarantined > quarantined_before:
             counters["quarantined"] = store.quarantined - quarantined_before
-    finally:
-        if own_recorder is not None:
-            obs.install(obs.NULL)
-        if own_collector is not None:
-            diagnose.install(diagnose.NULL)
-        if own_profiler is not None:
-            perf_profiler.install(perf_profiler.NULL)
     return JobOutcome(
         job_id=spec.job_id, value=value, records=telemetry.records,
-        counters=counters,
-        obs_records=own_recorder.records if own_recorder else [],
-        obs_metrics=own_recorder.metrics.to_dict() if own_recorder else {},
-        attribution=own_collector.to_dict() if own_collector else {},
-        profile=dict(own_profiler.stacks) if own_profiler else {},
+        counters=counters, instruments=InstrumentPayload.collect(**own),
     )
+
+
+def _own_sinks(wanted: InstrumentSpec) -> dict:
+    """Fresh sinks for the wanted instruments that are not live here."""
+    sinks = context.current()
+
+    def live(sink) -> bool:
+        return sink.enabled and sink._pid == os.getpid()
+
+    own = {}
+    if wanted.observe and not live(sinks.recorder):
+        own["recorder"] = obs.Recorder(trace=wanted.trace)
+    if wanted.attribute and not live(sinks.collector):
+        own["collector"] = diagnose.Collector()
+    if wanted.profile and not live(sinks.profiler):
+        own["profiler"] = ProfileCollector()
+    return own
 
 
 def _run_table(table: str, runner) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import diagnose
 from repro.cache.set_assoc import (
     simulate_fully_associative,
     simulate_set_associative,
@@ -21,6 +20,7 @@ from repro.cache.set_assoc import (
 from repro.cache.vectorized import simulate_direct_vectorized
 from repro.experiments.report import fmt_pct, render_table
 from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.obs import context
 
 __all__ = ["CACHE_BYTES", "BLOCK_BYTES", "Row", "compute", "render", "run"]
 
@@ -46,7 +46,7 @@ class Row:
 def compute(runner: ExperimentRunner) -> list[Row]:
     """Measure the associativity ladder on the stress benchmarks."""
     rows = []
-    collector = diagnose.current()
+    collector = context.current().collector
     for name in STRESS_BENCHMARKS:
         optimized = runner.addresses(name, "optimized")
         natural = runner.addresses(name, "natural")

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import diagnose
 from repro.cache.set_assoc import simulate_fully_associative
 from repro.cache.vectorized import simulate_direct_vectorized
 from repro.experiments.report import fmt_pct, render_table
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.experiments.smith import smith_target
+from repro.obs import context
 
 __all__ = ["POINTS", "Point", "compute", "render", "run"]
 
@@ -55,7 +55,7 @@ def compute(runner: ExperimentRunner) -> list[Point]:
         optimized: list[tuple[str, float]] = []
         fully_assoc: list[float] = []
         for name in names:
-            collector = diagnose.current()
+            collector = context.current().collector
             with collector.scope(workload=name, layout="optimized"):
                 opt_stats = simulate_direct_vectorized(
                     runner.addresses(name, "optimized"),

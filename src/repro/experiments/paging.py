@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import diagnose
 from repro.cache.paging import (
     simulate_paging,
     simulate_sectored_paging,
@@ -23,6 +22,7 @@ from repro.cache.paging import (
 )
 from repro.experiments.report import render_table
 from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.obs import context
 
 __all__ = [
     "PAGE_BYTES", "RESIDENT_PAGES", "WS_WINDOW",
@@ -62,7 +62,7 @@ def compute(runner: ExperimentRunner) -> list[Row]:
     for name in PAGED_BENCHMARKS:
         optimized = runner.addresses(name, "optimized")
         natural = runner.addresses(name, "natural")
-        collector = diagnose.current()
+        collector = context.current().collector
         for page_bytes in PAGE_BYTES:
             with collector.scope(workload=name, layout="optimized"):
                 opt = simulate_paging(optimized, page_bytes, RESIDENT_PAGES)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import diagnose
 from repro.cache.prefetch import simulate_prefetch
 from repro.cache.vectorized import simulate_direct_vectorized
 from repro.experiments.report import fmt_pct, render_table
 from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.obs import context
 
 __all__ = ["CACHE_BYTES", "BLOCK_BYTES", "Row", "compute", "render", "run"]
 
@@ -45,7 +45,7 @@ class Row:
 def compute(runner: ExperimentRunner) -> list[Row]:
     """Measure the four configurations on the stress benchmarks."""
     rows = []
-    collector = diagnose.current()
+    collector = context.current().collector
     for name in STRESS_BENCHMARKS:
         natural = runner.addresses(name, "natural")
         optimized = runner.addresses(name, "optimized")

@@ -29,6 +29,7 @@ from repro.interp.interpreter import Interpreter
 from repro.interp.trace import BlockTrace
 from repro.ir.program import Program
 from repro.ir.serialize import profile_from_dict, profile_to_dict
+from repro.obs import context
 from repro.placement.baselines import natural_order, random_order
 from repro.placement.conflict_aware import conflict_aware_order
 from repro.placement.pettis_hansen import pettis_hansen_order
@@ -369,7 +370,7 @@ class ExperimentRunner:
         the unscaled optimized and natural layouts, which every cache table
         replays)."""
         key = (name, layout, scaling, seed)
-        collector = diagnose.current()
+        collector = context.current().collector
         # A cached trace can only short-circuit when no attribution is
         # running: each Collector needs the symbol table registered into
         # *it*, so a cache hit still rebuilds the (cheap) image below.

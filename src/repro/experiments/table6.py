@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import diagnose, obs
 from repro.cache.vectorized import simulate_direct_vectorized
 from repro.experiments.report import fmt_pct, render_table
 from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.obs import context
 
 __all__ = ["CACHE_SIZES", "BLOCK_BYTES", "Row", "compute", "render", "run"]
 
@@ -35,14 +35,15 @@ def compute(
     runner: ExperimentRunner, layout: str = "optimized"
 ) -> list[Row]:
     """Sweep cache sizes for every benchmark under ``layout``."""
-    recorder = obs.current()
+    sinks = context.current()
     rows = []
     for name in runner.names():
         addresses = runner.addresses(name, layout)
         results = {}
-        with recorder.span("simulate", cat="simulation",
-                           table="table6", workload=name, layout=layout), \
-                diagnose.current().scope(workload=name, layout=layout):
+        with sinks.recorder.span("simulate", cat="simulation",
+                                 table="table6", workload=name,
+                                 layout=layout), \
+                sinks.collector.scope(workload=name, layout=layout):
             for cache_bytes in CACHE_SIZES:
                 stats = simulate_direct_vectorized(
                     addresses, cache_bytes, BLOCK_BYTES

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import diagnose, obs
 from repro.cache.vectorized import simulate_direct_vectorized
 from repro.experiments.report import fmt_pct, render_table
 from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.obs import context
 
 __all__ = ["BLOCK_SIZES", "CACHE_BYTES", "Row", "compute", "render", "run"]
 
@@ -36,14 +36,15 @@ def compute(
     runner: ExperimentRunner, layout: str = "optimized"
 ) -> list[Row]:
     """Sweep block sizes for every benchmark under ``layout``."""
-    recorder = obs.current()
+    sinks = context.current()
     rows = []
     for name in runner.names():
         addresses = runner.addresses(name, layout)
         results = {}
-        with recorder.span("simulate", cat="simulation",
-                           table="table7", workload=name, layout=layout), \
-                diagnose.current().scope(workload=name, layout=layout):
+        with sinks.recorder.span("simulate", cat="simulation",
+                                 table="table7", workload=name,
+                                 layout=layout), \
+                sinks.collector.scope(workload=name, layout=layout):
             for block_bytes in BLOCK_SIZES:
                 stats = simulate_direct_vectorized(
                     addresses, CACHE_BYTES, block_bytes

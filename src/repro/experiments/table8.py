@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import diagnose
 from repro.cache.partial import simulate_partial
 from repro.cache.sectored import simulate_sectored
 from repro.experiments.report import fmt_pct, render_table
 from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.obs import context
 
 __all__ = [
     "CACHE_BYTES", "BLOCK_BYTES", "SECTOR_BYTES",
@@ -51,7 +51,7 @@ def compute(
     rows = []
     for name in runner.names():
         addresses = runner.addresses(name, layout)
-        with diagnose.current().scope(workload=name, layout=layout):
+        with context.current().collector.scope(workload=name, layout=layout):
             sector = simulate_sectored(
                 addresses, CACHE_BYTES, BLOCK_BYTES, SECTOR_BYTES
             )

@@ -1,7 +1,13 @@
 """Structured observability for the placement pipeline and simulators.
 
-Three cooperating pieces, threaded through every layer of the system:
+Cooperating pieces, threaded through every layer of the system:
 
+* :mod:`repro.obs.context` — the instrumentation spine: one thread-local
+  slot holding the run's three sinks (this package's recorder, the
+  :mod:`repro.diagnose` attribution collector and the
+  :mod:`repro.perf.profiler` profile collector), one :func:`install` and
+  one :func:`use` for any subset of them, and the one payload that ships
+  a pool worker's sinks home.
 * :mod:`repro.obs.trace` — a span-based tracer.  Each pipeline phase
   (profiling, inlining, trace selection, layout, simulation) and each
   engine job opens a nested span; closed spans are plain dicts that
@@ -16,27 +22,34 @@ Three cooperating pieces, threaded through every layer of the system:
   metric regressions (``repro report --compare A B``).
 
 Instrumentation calls :func:`current` and goes through whatever recorder
-is installed.  The default is :data:`NULL` — a null recorder whose every
-operation is a no-op — so an unobserved run pays nothing: hot paths guard
-any extra work behind ``recorder.enabled`` and the test suite asserts the
-null path records nothing.
+is in the spine's slot.  The default is :data:`NULL` — a null recorder
+whose every operation is a no-op — so an unobserved run pays nothing:
+hot paths guard any extra work behind ``recorder.enabled`` and the test
+suite asserts the null path records nothing.
 """
 
-from repro.obs.recorder import (
-    NULL,
-    NullRecorder,
-    Recorder,
-    current,
-    install,
-    use,
-)
+from __future__ import annotations
+
+from repro.obs import context
+from repro.obs.context import NullRecorder, install, use
+from repro.obs.recorder import Recorder
 from repro.obs.trace import TraceContext, mint_trace_id
+
+#: The zero-overhead default recorder.
+NULL = context.NULLS.recorder
+
+
+def current() -> Recorder | NullRecorder:
+    """This thread's recorder: the spine's ``recorder`` slot."""
+    return context.current().recorder
+
 
 __all__ = [
     "NULL",
     "NullRecorder",
     "Recorder",
     "TraceContext",
+    "context",
     "current",
     "install",
     "mint_trace_id",

@@ -1,4 +1,4 @@
-"""The process-wide recorder and its zero-overhead null default.
+"""The recorder: spans, events and metrics for one run.
 
 Instrumentation throughout the codebase does::
 
@@ -8,11 +8,12 @@ Instrumentation throughout the codebase does::
     if rec.enabled:
         rec.event("cache_sim", miss_ratio=..., top_sets=...)
 
-With no recorder installed, :func:`current` returns :data:`NULL`, whose
-``span`` hands back one shared no-op context manager and whose other
-methods are empty — an unobserved run allocates nothing and records
-nothing.  Hot paths additionally guard any *computation* of event fields
-behind ``rec.enabled``.
+:func:`repro.obs.current` reads the recorder slot of the instrumentation
+spine (:mod:`repro.obs.context`).  With no recorder installed it is
+:data:`repro.obs.NULL`, whose ``span`` hands back the spine's one shared
+no-op context manager and whose other methods are empty — an unobserved
+run allocates nothing and records nothing.  Hot paths additionally guard
+any *computation* of event fields behind ``rec.enabled``.
 
 A real :class:`Recorder` accumulates spans and point events as plain
 dicts (so cross-process shipping is trivial) plus a
@@ -25,60 +26,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from contextlib import contextmanager
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, _json_default, write_chrome_trace
 
-__all__ = [
-    "NULL",
-    "NullRecorder",
-    "Recorder",
-    "current",
-    "install",
-    "use",
-]
-
-
-class _NullSpan:
-    """A reusable no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullRecorder:
-    """Absorbs every observation without doing anything."""
-
-    enabled = False
-
-    def span(self, name, cat="phase", **attrs):
-        return _NULL_SPAN
-
-    def event(self, name, **fields):
-        pass
-
-    def count(self, name, amount=1):
-        pass
-
-    def gauge(self, name, value):
-        pass
-
-    def observe(self, name, value):
-        pass
-
-    def absorb(self, records, metrics=None):
-        pass
+__all__ = ["Recorder"]
 
 
 class Recorder:
@@ -180,49 +133,3 @@ class Recorder:
                     record["type"] = kind
                     records.append(record)
         return {"meta": meta, "records": records, "metrics": metrics}
-
-
-#: The zero-overhead default recorder.
-NULL = NullRecorder()
-
-_CURRENT: Recorder | NullRecorder = NULL
-_TLS = threading.local()
-
-
-def current() -> Recorder | NullRecorder:
-    """The recorder instrumentation should write to (never ``None``).
-
-    A thread's :func:`use` override wins over the process-wide
-    :func:`install` default, so concurrent service worker threads each
-    record into their own recorder.
-    """
-    override = getattr(_TLS, "current", None)
-    return override if override is not None else _CURRENT
-
-
-def install(recorder: Recorder | NullRecorder) -> Recorder | NullRecorder:
-    """Make ``recorder`` the process-wide current recorder.
-
-    Also clears this thread's :func:`use` override: a forked pool
-    worker inherits the parent's override, and its explicit install
-    must supersede that dead-end recorder.
-    """
-    global _CURRENT
-    _CURRENT = recorder
-    _TLS.current = None
-    return recorder
-
-
-@contextmanager
-def use(recorder: Recorder | NullRecorder):
-    """Make ``recorder`` current for this thread, restoring on exit.
-
-    Thread-local (unlike :func:`install`): concurrent requests in one
-    daemon must not interleave each other's spans.
-    """
-    previous = getattr(_TLS, "current", None)
-    _TLS.current = recorder
-    try:
-        yield recorder
-    finally:
-        _TLS.current = previous

@@ -1,6 +1,6 @@
 """The performance observatory: durable perf history and hot-path views.
 
-Four legs, each a module:
+Five legs, each a module:
 
 - :mod:`repro.perf.ledger` — the append-only, checksummed
   ``repro-perf-v1`` JSONL ledger: one record per bench/CI run (git sha,
@@ -9,10 +9,11 @@ Four legs, each a module:
 - :mod:`repro.perf.sentinel` — the regression sentinel behind
   ``repro perf check``: the newest record against a rolling window,
   median ± k·MAD per metric, direction-aware.
-- :mod:`repro.perf.profiler` — the ambient profile collector behind
-  ``--profile-out``: cProfile per engine worker, collapsed stacks
-  shipped home through :class:`~repro.engine.jobs.JobOutcome`, with a
-  zero-overhead null path when off (the obs/diagnose contract).
+- :mod:`repro.perf.profiler` — the profile collector behind
+  ``--profile-out``: the ``profiler`` slot of the instrumentation spine
+  (:mod:`repro.obs.context`), cProfile per engine job, collapsed stacks
+  shipped home in the job's one instrumentation payload, with a
+  zero-overhead null path when off.
 - :mod:`repro.perf.flame` — collapsed stacks rendered as a
   self-contained HTML flamegraph (inline CSS/JS, no external assets).
 - :mod:`repro.perf.dashboard` — the live service dashboard behind

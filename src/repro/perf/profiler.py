@@ -1,20 +1,20 @@
 """Ambient hot-path profiling with a zero-overhead null default.
 
-The contract is the same as :mod:`repro.obs` and :mod:`repro.diagnose`:
-:func:`current` returns :data:`NULL` unless a run opted in with
-``--profile-out``, and the null path allocates nothing — engine code
-does::
+The profile collector is the ``profiler`` slot of the instrumentation
+spine (:mod:`repro.obs.context`).  It is :data:`NULL` unless a run
+opted in with ``--profile-out``, and the null path allocates nothing —
+engine code does::
 
-    with perf_profiler.current().capture():
+    with context.current().profiler.capture():
         value = run_the_job()
 
 A real :class:`ProfileCollector` wraps the block in :mod:`cProfile`,
 collapses the stats into flamegraph-style semicolon stacks
 (``main;run;simulate 0.041``), and accumulates them.  Collapsed stacks
 are plain ``{str: float}`` dicts, so a forked pool worker ships its
-collector's state home through :class:`~repro.engine.jobs.JobOutcome`
-and the parent folds it in with :meth:`ProfileCollector.record` —
-exactly how obs records and diagnose attributions travel.
+collector's state home in the job's one instrumentation payload, beside
+its spans and attributions, and the parent folds it in with
+:meth:`ProfileCollector.record`.
 
 cProfile keeps caller→callee edges, not full stacks, so
 :func:`collapse_profile` reconstructs one representative stack per
@@ -29,43 +29,16 @@ from __future__ import annotations
 import cProfile
 import os
 import pstats
-import threading
 from contextlib import contextmanager
+
+from repro.obs.context import NULLS, NullProfileCollector
 
 __all__ = [
     "NULL",
     "NullProfileCollector",
     "ProfileCollector",
     "collapse_profile",
-    "current",
-    "install",
-    "use",
 ]
-
-
-class _NullCapture:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_CAPTURE = _NullCapture()
-
-
-class NullProfileCollector:
-    """Absorbs nothing, allocates nothing."""
-
-    enabled = False
-
-    def capture(self):
-        return _NULL_CAPTURE
-
-    def record(self, stacks):
-        pass
 
 
 class ProfileCollector:
@@ -104,40 +77,7 @@ class ProfileCollector:
 
 
 #: The zero-overhead default collector.
-NULL = NullProfileCollector()
-
-_CURRENT: ProfileCollector | NullProfileCollector = NULL
-_TLS = threading.local()
-
-
-def current() -> ProfileCollector | NullProfileCollector:
-    """The collector engine code should capture into (never ``None``)."""
-    override = getattr(_TLS, "current", None)
-    return override if override is not None else _CURRENT
-
-
-def install(collector) -> ProfileCollector | NullProfileCollector:
-    """Make ``collector`` the process-wide current collector.
-
-    Clears this thread's :func:`use` override, mirroring
-    :func:`repro.obs.install` — a forked worker's explicit install must
-    supersede the inherited dead-end collector.
-    """
-    global _CURRENT
-    _CURRENT = collector
-    _TLS.current = None
-    return collector
-
-
-@contextmanager
-def use(collector):
-    """Make ``collector`` current for this thread, restoring on exit."""
-    previous = getattr(_TLS, "current", None)
-    _TLS.current = collector
-    try:
-        yield collector
-    finally:
-        _TLS.current = previous
+NULL = NULLS.profiler
 
 
 # -- cProfile → collapsed stacks -------------------------------------------

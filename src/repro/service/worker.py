@@ -15,8 +15,8 @@ Every execution runs under a fresh per-request :class:`repro.obs
 ``GET /metrics`` aggregates across requests while span records stay
 per-request (dumped to ``trace_dir`` when configured, discarded
 otherwise — a long-running daemon's memory stays bounded).
-``obs.use`` / ``diagnose.use`` are thread-local, so concurrent worker
-threads never interleave spans or miss attributions.
+The instrumentation spine's ``use`` is thread-local, so concurrent
+worker threads never interleave spans, miss attributions or profiles.
 
 The receipt attached to every result is the provenance trail: the
 normalized request and its fingerprint, the engine code version, the

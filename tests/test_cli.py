@@ -45,6 +45,23 @@ class TestUnknownTable:
         assert "usage: repro table" in err
         assert "table6" in err          # the valid names are listed
 
+    def test_usage_names_every_table_flag(self, capsys):
+        # The usage text is the subparser's own, so it cannot drift
+        # from the flags the parser actually accepts.
+        parser = build_parser()
+        (table,) = [
+            sub.choices["table"] for sub in parser._subparsers._group_actions
+        ]
+        flags = {
+            action.option_strings[0] for action in table._actions
+            if action.option_strings
+        }
+        assert {"--attribution", "--opt", "--profile-out"} <= flags
+        assert main(["table", "nope"]) == 2
+        err = capsys.readouterr().err
+        for flag in sorted(flags):
+            assert flag in err, flag
+
     def test_does_not_traceback(self, capsys):
         # A bad name must be a clean exit, never an exception.
         assert main(["table", ""]) == 2

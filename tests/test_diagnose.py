@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import diagnose
+from repro import diagnose, obs
 from repro.cache.direct import simulate_direct
 from repro.cache.paging import simulate_paging, simulate_sectored_paging
 from repro.cache.partial import simulate_partial
@@ -16,6 +16,8 @@ from repro.cache.set_assoc import (
     simulate_set_associative,
 )
 from repro.cache.vectorized import simulate_direct_vectorized
+from repro.obs import context
+from repro.obs.context import InstrumentSpec
 
 
 def synthetic_trace(seed: int = 0, runs: int = 150) -> np.ndarray:
@@ -31,7 +33,7 @@ def synthetic_trace(seed: int = 0, runs: int = 150) -> np.ndarray:
 
 def collect(simulate, *args) -> diagnose.Collector:
     collector = diagnose.Collector()
-    with diagnose.use(collector):
+    with obs.use(collector=collector):
         with collector.scope(workload="synth", layout="natural"):
             simulate(*args)
     assert collector.entries, "simulation recorded no attribution"
@@ -107,28 +109,28 @@ class TestThreeCInvariants:
 
 class TestZeroOverheadWhenOff:
     def test_default_collector_is_null(self):
-        assert diagnose.current() is diagnose.NULL
+        assert context.current().collector is diagnose.NULL
         assert not diagnose.NULL.enabled
 
     @pytest.mark.parametrize("simulate,args", ALL_SIMULATORS)
     def test_stats_identical_with_attribution_on(self, simulate, args):
         trace = synthetic_trace(seed=3)
         plain = simulate(trace, *args)
-        with diagnose.use(diagnose.Collector()):
+        with obs.use(collector=diagnose.Collector()):
             attributed = simulate(trace, *args)
         assert plain == attributed
 
     def test_use_restores_the_previous_collector(self):
-        with diagnose.use(diagnose.Collector()) as installed:
-            assert diagnose.current() is installed
-        assert diagnose.current() is diagnose.NULL
+        with obs.use(collector=diagnose.Collector()) as sinks:
+            assert context.current().collector is sinks.collector
+        assert context.current().collector is diagnose.NULL
 
 
 class TestCollector:
     def test_replay_replaces_instead_of_double_counting(self):
         trace = synthetic_trace()
         collector = diagnose.Collector()
-        with diagnose.use(collector):
+        with obs.use(collector=collector):
             with collector.scope(workload="w", layout="natural"):
                 simulate_direct(trace, 2048, 64)
                 simulate_direct(trace, 2048, 64)
@@ -157,7 +159,7 @@ class TestSymbolAttribution:
     @pytest.fixture(scope="class")
     def attributed(self, small_runner):
         collector = diagnose.Collector()
-        with diagnose.use(collector):
+        with obs.use(collector=collector):
             for layout in ("optimized", "natural"):
                 addresses = small_runner.addresses("cccp", layout)
                 with collector.scope(workload="cccp", layout=layout):
@@ -203,12 +205,12 @@ class TestEngineThreading:
             JobSpec(job_id="table:table6", kind="table",
                     params={"table": "table6", "scale": "small"}),
             cache_dir=str(tmp_path),
-            attribute=True,
+            instruments=InstrumentSpec(attribute=True),
         )
-        assert outcome.attribution
-        key = next(iter(sorted(outcome.attribution)))
+        assert outcome.instruments.attribution
+        key = next(iter(sorted(outcome.instruments.attribution)))
         assert key.count("|") == 4
-        payload = outcome.attribution[key]
+        payload = outcome.instruments.attribution[key]
         assert payload["compulsory"] + payload["capacity"] \
             + payload["conflict"] == payload["misses"]
 
@@ -220,4 +222,4 @@ class TestEngineThreading:
                     params={"workload": "wc", "scale": "small"}),
             cache_dir=str(tmp_path),
         )
-        assert outcome.attribution == {}
+        assert outcome.instruments.attribution == {}

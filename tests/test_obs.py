@@ -6,11 +6,14 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import diagnose, obs
+from repro.obs import context
+from repro.obs.context import InstrumentPayload, InstrumentSpec
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.report import RunReport, compare
 from repro.obs.trace import Tracer, chrome_trace_events
+from repro.perf import profiler
 
 
 class TestNullRecorder:
@@ -42,12 +45,6 @@ class TestNullRecorder:
         assert art.placement is not None
         assert obs.current() is obs.NULL
 
-    def test_use_restores_previous(self):
-        rec = Recorder()
-        with obs.use(rec):
-            assert obs.current() is rec
-        assert obs.current() is obs.NULL
-
     def test_untraced_records_carry_no_trace_key(self):
         # Zero overhead when no trace is attached: record schemas are
         # byte-identical to pre-tracing runs — no "trace" key anywhere.
@@ -64,6 +61,119 @@ class TestNullRecorder:
             rec.event("store", result="hit")
         assert rec.meta["trace"] == "ab" * 8
         assert all(record["trace"] == "ab" * 8 for record in rec.records)
+
+
+#: (slot, null default, real sink, the sink's context-manager opener)
+SINKS = [
+    ("recorder", obs.NULL, Recorder, lambda sink: sink.span("x")),
+    ("collector", diagnose.NULL, diagnose.Collector,
+     lambda sink: sink.scope()),
+    ("profiler", profiler.NULL, profiler.ProfileCollector,
+     lambda sink: sink.capture()),
+]
+
+
+class TestSpine:
+    """The one ambient slot every instrument reads its sink from."""
+
+    @pytest.mark.parametrize(
+        "slot,null,make,opener", SINKS, ids=[row[0] for row in SINKS],
+    )
+    def test_default_is_null_and_use_restores(self, slot, null, make, opener):
+        assert getattr(context.current(), slot) is null
+        assert not null.enabled
+        # No per-call allocation: every null sink hands out the one
+        # shared no-op context manager.
+        assert opener(null) is context.NOOP
+        with opener(null):
+            pass
+        sink = make()
+        with obs.use(**{slot: sink}) as sinks:
+            assert getattr(sinks, slot) is sink
+            assert getattr(context.current(), slot) is sink
+        assert getattr(context.current(), slot) is null
+        assert context.current() is context.NULLS
+
+    def test_nested_use_keeps_outer_sinks(self):
+        recorder, collector = Recorder(), diagnose.Collector()
+        with obs.use(recorder):
+            with obs.use(collector=collector):
+                assert obs.current() is recorder
+                assert context.current().collector is collector
+                assert context.current().profiler is profiler.NULL
+            assert obs.current() is recorder
+            assert context.current().collector is diagnose.NULL
+        assert context.current() == (obs.NULL, diagnose.NULL, profiler.NULL)
+
+    def test_threads_never_see_each_others_sinks(self):
+        import threading
+
+        barrier = threading.Barrier(2)
+        seen: dict[str, list] = {}
+        errors: list[BaseException] = []
+
+        def worker(name: str) -> None:
+            mine = (Recorder(), diagnose.Collector(),
+                    profiler.ProfileCollector())
+            try:
+                with obs.use(*mine):
+                    barrier.wait(timeout=10)   # both inside their use
+                    for _ in range(200):
+                        seen.setdefault(name, []).append(
+                            tuple(context.current()) == mine
+                        )
+                    barrier.wait(timeout=10)   # neither has exited yet
+                seen[name].append(context.current() is context.NULLS)
+            except BaseException as exc:       # surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(name,))
+            for name in ("a", "b")
+        ]
+        with obs.use(Recorder()):
+            # A thread started under the main thread's override still
+            # starts from the process-wide defaults.
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(seen["a"]) and all(seen["b"])
+        assert len(seen["a"]) == len(seen["b"]) == 201
+
+    def test_absorb_folds_one_payload_into_every_sink(self):
+        worker = Recorder()
+        with worker.span("job", cat="engine"):
+            worker.count("interp_runs", 2)
+        payload = InstrumentPayload.collect(
+            recorder=worker, profiler=profiler.ProfileCollector(),
+        )
+        payload.attribution = {"wc|optimized|direct|2048|64": {
+            "misses": 3, "compulsory": 1, "capacity": 1, "conflict": 1,
+        }}
+        payload.profile = {"main;run": 0.5}
+        context.absorb(payload)           # null sinks ignore it
+        sinks = (Recorder(), diagnose.Collector(),
+                 profiler.ProfileCollector())
+        with obs.use(*sinks):
+            context.absorb(payload)
+        recorder, collector, stacks = sinks
+        assert [r["name"] for r in recorder.records] == ["job"]
+        assert recorder.metrics.counter("interp_runs").value == 2
+        assert list(collector.entries) == [
+            ("wc", "optimized", "direct", 2048, 64),
+        ]
+        assert stacks.stacks == {"main;run": 0.5}
+
+    def test_instrument_spec_mirrors_the_current_sinks(self):
+        assert InstrumentSpec.of_current() == InstrumentSpec()
+        with obs.use(Recorder(trace="ab" * 8),
+                     profiler=profiler.ProfileCollector()):
+            assert InstrumentSpec.of_current() == InstrumentSpec(
+                observe=True, profile=True, trace="ab" * 8,
+            )
 
 
 class TestTracer:
@@ -165,21 +275,48 @@ class TestMetrics:
             assert ours[stat] == theirs[stat]
         assert ours["sum"] == pytest.approx(theirs["sum"])
 
-    def test_histogram_merge_accepts_legacy_snapshot(self):
-        # Pre-bucket snapshots (reservoir format: markers, no buckets)
-        # still merge with exact moments and approximate shape.
-        legacy = {
+    def test_histogram_merge_rejects_bucketless_snapshot(self):
+        # Every snapshot summary() writes carries buckets; a non-empty
+        # one without them is malformed input and must not half-merge.
+        bucketless = {
             "count": 100, "sum": 5000.0, "min": 1.0, "max": 99.0,
             "mean": 50.0, "p50": 50.0, "p90": 90.0, "p99": 99.0,
         }
         hist = Histogram("h")
         hist.observe(10.0)
-        hist.merge_summary(legacy)
-        assert hist.count == 101
-        assert hist.total == pytest.approx(5010.0)
-        assert hist.min == 1.0 and hist.max == 99.0
-        assert sum(hist.buckets.values()) + hist.zeros == 101
-        assert hist.percentile(50) == pytest.approx(50.0, rel=0.1)
+        before = hist.summary()
+        with pytest.raises(ValueError, match="no buckets"):
+            hist.merge_summary(bucketless)
+        assert hist.summary() == before
+        with pytest.raises(ValueError):
+            MetricsRegistry().merge({"histograms": {"h": bucketless}})
+
+    def test_bucket_merge_keeps_zeros_and_clamps_percentiles(self):
+        # Zeros and positive buckets fold in exactly, into a virgin
+        # histogram and into one that already holds observations, and
+        # percentiles read off the merge stay inside [min, max].
+        worker = Histogram("h")
+        for value in [0.0] * 10 + [1.0] * 15 + [5.0] * 10 + [9.0] * 5:
+            worker.observe(value)
+        virgin = Histogram("h")
+        virgin.merge_summary(worker.summary())
+        assert virgin.count == 40 and virgin.zeros == 10
+        assert virgin.total == pytest.approx(worker.total)
+        assert virgin.min == 0.0 and virgin.max == 9.0
+        assert sum(virgin.buckets.values()) + virgin.zeros == 40
+        assert virgin.percentile(50) == worker.percentile(50)
+        assert virgin.percentile(10) == 0.0
+        assert virgin.summary()["p99"] <= 9.0
+
+        busy = Histogram("h")
+        busy.observe(10.0)
+        busy.merge_summary(worker.summary())
+        assert busy.count == 41 and busy.zeros == 10
+        assert busy.total == pytest.approx(worker.total + 10.0)
+        assert busy.min == 0.0 and busy.max == 10.0
+        assert sum(busy.buckets.values()) + busy.zeros == 41
+        assert busy.percentile(50) == pytest.approx(1.0, rel=1 / 16)
+        assert busy.summary()["p99"] <= 10.0
 
     def test_merge_snapshot(self):
         main, worker = MetricsRegistry(), MetricsRegistry()
@@ -233,26 +370,6 @@ class TestMetrics:
         assert hist.zeros == 1 and not hist.buckets
         assert hist.percentile(50) == 0.0
         assert hist.summary()["p99"] == 0.0
-
-    def test_legacy_reservoir_merges_into_empty_bucketed(self):
-        # A worker running the pre-bucket code ships a reservoir-style
-        # snapshot (markers, no buckets); folding it into a virgin
-        # bucketed histogram must reconstruct moments exactly and
-        # shape approximately — not crash, not zero out.
-        legacy = {
-            "count": 40, "sum": 200.0, "min": 1.0, "max": 9.0,
-            "mean": 5.0, "p50": 5.0, "p90": 9.0, "p99": 9.0,
-        }
-        hist = Histogram("h")
-        assert hist.count == 0
-        hist.merge_summary(legacy)
-        assert hist.count == 40
-        assert hist.total == pytest.approx(200.0)
-        assert hist.min == 1.0 and hist.max == 9.0
-        assert sum(hist.buckets.values()) + hist.zeros == 40
-        assert hist.percentile(50) == pytest.approx(5.0, rel=0.2)
-        summary = hist.summary()
-        assert summary["p99"] <= 9.0
 
 
 class TestRecorderRoundTrip:
@@ -385,10 +502,9 @@ class TestRunReport:
             "unparseable": payload,              # skipped, not fatal
         }
         rows = report.attributions()
-        assert len(rows) == 2
-        keys = [key for key, _ in rows]
-        assert ("wc", "optimized", "direct", 2048, 64) in keys
-        assert ("wc", "optimized", "?", 2048, 64) in keys
+        assert [key for key, _ in rows] == [
+            ("wc", "optimized", "direct", 2048, 64),
+        ]
         assert "miss attribution" in report.render()
 
 
@@ -449,14 +565,15 @@ class TestInstrumentation:
             params={"workload": "wc", "scale": "small"},
         )
         outcome = execute_job(
-            spec, cache_dir=str(tmp_path / "cache"), observe=True
+            spec, cache_dir=str(tmp_path / "cache"),
+            instruments=InstrumentSpec(observe=True),
         )
         assert obs.current() is obs.NULL   # recorder uninstalled after
         assert any(
             r.get("type") == "span" and r["name"] == "job"
-            for r in outcome.obs_records
+            for r in outcome.instruments.records
         )
-        assert outcome.obs_metrics["counters"]["interp_runs"] > 0
+        assert outcome.instruments.metrics["counters"]["interp_runs"] > 0
 
     def test_execute_job_unobserved_ships_nothing(self, tmp_path):
         from repro.engine.jobs import JobSpec, execute_job
@@ -466,8 +583,8 @@ class TestInstrumentation:
             params={"workload": "wc", "scale": "small"},
         )
         outcome = execute_job(spec, cache_dir=str(tmp_path / "cache"))
-        assert outcome.obs_records == []
-        assert outcome.obs_metrics == {}
+        assert outcome.instruments.records == []
+        assert outcome.instruments.metrics == {}
 
 
 class TestEventLog:

@@ -8,7 +8,10 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.cli import main
+from repro.obs import context
+from repro.obs.context import InstrumentSpec
 from repro.perf.dashboard import render_dashboard, trend_section_html
 from repro.perf.flame import render_flamegraph, write_collapsed
 from repro.perf.ledger import (
@@ -161,19 +164,13 @@ class TestSentinel:
 
 
 class TestProfiler:
-    def test_default_is_null_and_noop(self):
-        assert profiler.current() is profiler.NULL
-        assert not profiler.NULL.enabled
-        with profiler.NULL.capture():
-            pass  # no cProfile machinery engaged
-
     def test_capture_collects_collapsed_stacks(self):
         collector = profiler.ProfileCollector()
-        with profiler.use(collector):
-            assert profiler.current() is collector
+        with obs.use(profiler=collector) as sinks:
+            assert sinks.profiler is collector
             with collector.capture():
                 sum(i * i for i in range(50_000))
-        assert profiler.current() is profiler.NULL
+        assert context.current().profiler is profiler.NULL
         assert collector.stacks
         assert all(value > 0 for value in collector.stacks.values())
         # Frames are file:function labels joined root-first with ';'.
@@ -194,13 +191,14 @@ class TestProfiler:
         )
         off = execute_job(spec, cache_dir=str(tmp_path / "c1"),
                           use_cache=False)
-        assert off.profile == {}
+        assert off.instruments.profile == {}
         on = execute_job(spec, cache_dir=str(tmp_path / "c2"),
-                         use_cache=False, profile=True)
+                         use_cache=False,
+                         instruments=InstrumentSpec(profile=True))
         assert on.records, "job ran no work"
-        assert on.profile, "profiled job shipped no stacks"
+        assert on.instruments.profile, "profiled job shipped no stacks"
         # The ambient collector is restored to NULL afterwards.
-        assert profiler.current() is profiler.NULL
+        assert context.current().profiler is profiler.NULL
 
 
 class TestFlame:
