@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
-    emit_cache_sim,
-    new_probe,
-    require_power_of_two,
+    as_trace,
+    check_geometry,
+    finish,
 )
 
 __all__ = ["DirectMappedCache", "simulate_direct"]
@@ -28,13 +26,9 @@ class DirectMappedCache:
     """A direct-mapped cache usable incrementally (access by access)."""
 
     def __init__(self, cache_bytes: int, block_bytes: int) -> None:
-        require_power_of_two(cache_bytes, "cache_bytes")
-        require_power_of_two(block_bytes, "block_bytes")
-        if block_bytes > cache_bytes:
-            raise ValueError("block larger than cache")
         self.cache_bytes = cache_bytes
         self.block_bytes = block_bytes
-        self.num_sets = cache_bytes // block_bytes
+        self.num_sets = check_geometry(cache_bytes, block_bytes)
         self._block_shift = block_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
         self._tags = [-1] * self.num_sets
@@ -68,39 +62,24 @@ class DirectMappedCache:
 def simulate_direct(
     addresses: Iterable[int], cache_bytes: int, block_bytes: int
 ) -> CacheStats:
-    """Run a full trace through a direct-mapped cache."""
+    """Run a full trace through a direct-mapped cache, access by access."""
     cache = DirectMappedCache(cache_bytes, block_bytes)
+    addresses = as_trace(addresses)
     shift = cache._block_shift
     mask = cache._set_mask
     tags = cache._tags
-    set_misses = cache.set_misses
-    recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
-    probe = new_probe(block_bytes, cache_bytes)
-    seen: list[int] | None = [] if probe is not None else None
-    accesses = 0
-    misses = 0
-    for address in addresses:
-        accesses += 1
+    positions: list[int] = []
+    evictors: list[int] = []
+    for position, address in enumerate(addresses.tolist()):
         block = address >> shift
         index = block & mask
         if tags[index] != block:
-            if probe is not None:
-                probe.miss(accesses - 1, tags[index])
+            positions.append(position)
+            evictors.append(tags[index])
             tags[index] = block
-            misses += 1
-            set_misses[index] += 1
-            if sampler is not None:
-                sampler.offer(address)
-        if seen is not None:
-            seen.append(address)
-    cache.accesses = accesses
-    cache.misses = misses
-    stats = cache.stats()
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            stats, cache_bytes, block_bytes, "direct",
-            set_misses=set_misses, sampler=sampler,
-            addresses=seen, probe=probe,
-        )
-    return stats
+    return finish(
+        addresses, positions, evictors,
+        len(positions) * (block_bytes // BUS_WORD_BYTES),
+        organization="direct", cache_bytes=cache_bytes,
+        block_bytes=block_bytes, num_sets=cache.num_sets,
+    )

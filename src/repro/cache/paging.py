@@ -19,6 +19,11 @@ code moved away) is precisely a paging optimisation — "when a page is
 transferred from the secondary memory to the main memory, all the bytes
 of that page are likely to be used" — and these simulators are what make
 that claim measurable.
+
+Both LRU simulators replay only the trace's page (or sector) runs: a
+repeat of the unit just referenced hits and refreshes a recency the run
+head already set, so it changes nothing — and instruction fetches are
+overwhelmingly same-page sequential.
 """
 
 from __future__ import annotations
@@ -27,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
-    CacheStats,
-    emit_cache_sim,
-    new_probe,
+    as_trace,
+    finish,
+    granule_runs,
+    lru_misses,
     require_power_of_two,
 )
 
@@ -69,30 +74,6 @@ class WorkingSetStats:
     peak_pages: int
 
 
-def _page_transitions(
-    addresses: np.ndarray, page_bytes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compress the trace to the subsequence where the page changes.
-
-    Instruction fetches are overwhelmingly same-page sequential, so
-    page-level simulation over the compressed sequence is exact for LRU
-    (repeats never change LRU state beyond refreshing recency, which the
-    transition itself already does) and orders of magnitude faster.
-    Returns ``(pages, positions)`` — the transition pages and their
-    indices in the original trace (faults only happen at transitions,
-    which is what lets the miss probe point back into the full trace).
-    """
-    pages = np.asarray(addresses, dtype=np.int64) >> (
-        page_bytes.bit_length() - 1
-    )
-    if len(pages) == 0:
-        return pages, np.empty(0, dtype=np.int64)
-    keep = np.empty(len(pages), dtype=bool)
-    keep[0] = True
-    keep[1:] = pages[1:] != pages[:-1]
-    return pages[keep], np.nonzero(keep)[0]
-
-
 def simulate_paging(
     addresses: np.ndarray, page_bytes: int, resident_pages: int
 ) -> PagingStats:
@@ -100,50 +81,26 @@ def simulate_paging(
     require_power_of_two(page_bytes, "page_bytes")
     if resident_pages < 1:
         raise ValueError("need at least one resident page")
-    transitions, positions = _page_transitions(addresses, page_bytes)
+    addresses = as_trace(addresses)
+    heads, pages = granule_runs(addresses, page_bytes.bit_length() - 1)
 
-    recorder = obs.current()
-    # The fill unit is a page and the real cache *is* fully-associative
-    # LRU, so classification degenerates to compulsory + capacity — a
-    # useful degenerate case the 3C tests pin (conflict == 0).
-    probe = new_probe(page_bytes, page_bytes * resident_pages)
-    #: Per-page fault counts (sparse: page number -> faults).
-    page_faults: dict[int, int] = {}
-
-    lru: list[int] = []   # most-recent first
-    faults = 0
-    distinct: set[int] = set()
-    for where, page in enumerate(map(int, transitions)):
-        distinct.add(page)
-        try:
-            lru.remove(page)
-        except ValueError:
-            faults += 1
-            evicted = -1
-            if len(lru) >= resident_pages:
-                evicted = lru.pop()
-            page_faults[page] = page_faults.get(page, 0) + 1
-            if probe is not None:
-                probe.miss(int(positions[where]), evicted)
-        lru.insert(0, page)
+    positions, evictors = lru_misses(heads, pages, 1, resident_pages)
 
     stats = PagingStats(
         accesses=len(addresses),
-        faults=faults,
-        bytes_transferred=faults * page_bytes,
-        distinct_pages=len(distinct),
+        faults=len(positions),
+        bytes_transferred=len(positions) * page_bytes,
+        distinct_pages=len(np.unique(pages)),
     )
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            CacheStats(
-                accesses=stats.accesses,
-                misses=stats.faults,
-                words_transferred=stats.bytes_transferred // BUS_WORD_BYTES,
-                extras={"distinct_pages": float(stats.distinct_pages)},
-            ),
-            page_bytes * resident_pages, page_bytes, "paging",
-            set_misses=page_faults, addresses=addresses, probe=probe,
-        )
+    # The fill unit is a page and the real cache *is* fully-associative
+    # LRU, so classification degenerates to compulsory + capacity — a
+    # useful degenerate case the 3C tests pin (conflict == 0).
+    finish(
+        addresses, positions, evictors,
+        stats.bytes_transferred // BUS_WORD_BYTES,
+        organization="paging", cache_bytes=page_bytes * resident_pages,
+        block_bytes=page_bytes, num_sets=None,
+    )
     return stats
 
 
@@ -166,38 +123,21 @@ def simulate_sectored_paging(
     if resident_pages < 1:
         raise ValueError("need at least one resident page")
 
-    page_shift = page_bytes.bit_length() - 1
+    addresses = as_trace(addresses)
     sector_shift = sector_bytes.bit_length() - 1
-    sectors_per_page = page_bytes // sector_bytes
-
-    # Compress to sector transitions (same argument as for pages).
-    sectors = np.asarray(addresses, dtype=np.int64) >> sector_shift
-    positions = np.empty(0, dtype=np.int64)
-    if len(sectors):
-        keep = np.empty(len(sectors), dtype=bool)
-        keep[0] = True
-        keep[1:] = sectors[1:] != sectors[:-1]
-        positions = np.nonzero(keep)[0]
-        sectors = sectors[keep]
-
-    recorder = obs.current()
-    # The fill unit is a sector, so the 3C shadow is a fully-associative
-    # sector cache of the same byte capacity; the eviction of a whole
-    # page charges the displaced page's first sector as the evictor.
-    probe = new_probe(sector_bytes, page_bytes * resident_pages)
-    pages_shift = page_shift - sector_shift
-    #: Per-page sector-fault counts (sparse: page number -> faults).
-    page_faults: dict[int, int] = {}
+    # Sectors per page as a shift: the eviction of a whole page charges
+    # the displaced page's first sector as the 3C evictor.
+    pages_shift = page_bytes.bit_length() - 1 - sector_shift
+    sector_mask = (1 << pages_shift) - 1
+    heads, sectors = granule_runs(addresses, sector_shift)
 
     lru: list[int] = []
     valid: dict[int, int] = {}      # page -> sector bitmap
-    faults = 0
-    transferred = 0
-    distinct: set[int] = set()
-    for where, sector in enumerate(map(int, sectors)):
+    positions: list[int] = []
+    evictors: list[int] = []
+    for position, sector in zip(heads.tolist(), sectors.tolist()):
         page = sector >> pages_shift
-        bit = 1 << (sector & (sectors_per_page - 1))
-        distinct.add(page)
+        bit = 1 << (sector & sector_mask)
         evicted = -1
         try:
             lru.remove(page)
@@ -209,33 +149,24 @@ def simulate_sectored_paging(
         lru.insert(0, page)
         if not valid[page] & bit:
             valid[page] |= bit
-            faults += 1
-            transferred += sector_bytes
-            page_faults[page] = page_faults.get(page, 0) + 1
-            if probe is not None:
-                probe.miss(
-                    int(positions[where]),
-                    -1 if evicted < 0 else evicted << pages_shift,
-                )
+            positions.append(position)
+            evictors.append(-1 if evicted < 0 else evicted << pages_shift)
 
     stats = PagingStats(
         accesses=len(addresses),
-        faults=faults,
-        bytes_transferred=transferred,
-        distinct_pages=len(distinct),
+        faults=len(positions),
+        bytes_transferred=len(positions) * sector_bytes,
+        distinct_pages=len(np.unique(sectors >> pages_shift)),
     )
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            CacheStats(
-                accesses=stats.accesses,
-                misses=stats.faults,
-                words_transferred=stats.bytes_transferred // BUS_WORD_BYTES,
-                extras={"distinct_pages": float(stats.distinct_pages)},
-            ),
-            page_bytes * resident_pages, page_bytes,
-            f"sectored-paging/{sector_bytes}B",
-            set_misses=page_faults, addresses=addresses, probe=probe,
-        )
+    # The fill unit is a sector, so the 3C shadow is a fully-associative
+    # sector cache of the same byte capacity.
+    finish(
+        addresses, positions, evictors,
+        stats.bytes_transferred // BUS_WORD_BYTES,
+        organization=f"sectored-paging/{sector_bytes}B",
+        cache_bytes=page_bytes * resident_pages, block_bytes=page_bytes,
+        num_sets=None, granule_bytes=sector_bytes,
+    )
     return stats
 
 

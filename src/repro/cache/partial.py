@@ -19,20 +19,32 @@ Reported alongside miss and traffic ratios:
 * ``avg_exec`` — mean number of consecutive instructions used from a miss
   point until a taken branch (any fetch-address discontinuity) or the next
   miss (the paper's ``avg.exec``).
+
+The kernel is exact and vectorized, by a **suffix invariant**: the valid
+words of a resident block always form a suffix ``[s, end)`` of it.  An
+install fills ``[w, end)``; a later miss at ``w < s`` fills ``[w, s)``,
+up to the first valid word, which leaves the suffix ``[w, end)``.  So
+within a block's residency episode (a maximal same-block stretch of its
+set's references in stable set order, as in the plain direct-mapped
+kernel) ``s`` is the running minimum of the words referenced, an access
+at word ``w`` misses iff it opens the episode or ``w < s``, and it moves
+``end - w`` or ``s - w`` words.  An access to the same block as its
+trace predecessor at a word no lower always hits and leaves ``s`` alone,
+so those are dropped before the sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
-    emit_cache_sim,
-    new_probe,
-    require_power_of_two,
+    as_trace,
+    check_geometry,
+    finish,
+    residencies,
+    trace_order,
 )
 
 __all__ = ["simulate_partial"]
@@ -42,88 +54,47 @@ def simulate_partial(
     addresses: np.ndarray, cache_bytes: int, block_bytes: int
 ) -> CacheStats:
     """Run a trace through a partial-loading direct-mapped cache."""
-    require_power_of_two(cache_bytes, "cache_bytes")
-    require_power_of_two(block_bytes, "block_bytes")
-    if block_bytes > cache_bytes:
-        raise ValueError("block larger than cache")
-
-    num_sets = cache_bytes // block_bytes
-    block_shift = block_bytes.bit_length() - 1
+    num_sets = check_geometry(cache_bytes, block_bytes)
+    addresses = as_trace(addresses)
     words_per_block = block_bytes // BUS_WORD_BYTES
-    word_index_mask = words_per_block - 1
-    set_mask = num_sets - 1
-    word_shift = BUS_WORD_BYTES.bit_length() - 1  # log2(4)
+    # Words per block as a shift: a displaced tag is charged to the 3C
+    # probe as its block's first word (the fill unit is a word).
+    words_shift = words_per_block.bit_length() - 1
 
-    tags = [-1] * num_sets
-    valid = [0] * num_sets            # bit w set = word w present
-    #: Per-set miss counts (block repurposes and word fills both count).
-    set_misses = [0] * num_sets
+    # Same block as the predecessor, at a word no lower: always a hit
+    # that leaves the valid suffix as it is.
+    words = addresses >> (BUS_WORD_BYTES.bit_length() - 1)
+    blocks = words >> words_shift
+    keep = np.ones(len(addresses), dtype=bool)
+    keep[1:] = (blocks[1:] != blocks[:-1]) | (words[1:] < words[:-1])
+    heads = np.flatnonzero(keep)
 
-    recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
-    # The fill unit is a 4-byte word, so the 3C shadow is a fully
-    # associative word cache of the same capacity; a block repurpose
-    # evicts the old tag (scaled to its first word's granule number).
-    probe = new_probe(BUS_WORD_BYTES, cache_bytes)
-    words_shift = block_shift - word_shift
-
-    n = len(addresses)
-    misses = 0
-    words_transferred = 0
-    miss_positions: list[int] = []
-
-    for position in range(n):
-        address = int(addresses[position])
-        block = address >> block_shift
-        index = block & set_mask
-        word = (address >> word_shift) & word_index_mask
-        bits = valid[index]
-        if tags[index] == block and (bits >> word) & 1:
-            continue
-
-        misses += 1
-        miss_positions.append(position)
-        set_misses[index] += 1
-        if sampler is not None:
-            sampler.offer(address)
-        if tags[index] != block:
-            if probe is not None:
-                evicted = tags[index]
-                probe.miss(
-                    position,
-                    -1 if evicted < 0 else evicted << words_shift,
-                )
-            tags[index] = block
-            bits = 0
-        elif probe is not None:
-            probe.miss(position)      # word fill within the present block
-        # Fill from the missed word to the first valid word or block end.
-        ahead = bits >> word          # bit 0 is the missed word (0 here)
-        if ahead == 0:
-            fill = words_per_block - word
-        else:
-            fill = (ahead & -ahead).bit_length() - 1
-        valid[index] = bits | (((1 << fill) - 1) << word)
-        words_transferred += fill
-
-    extras = _execution_run_stats(
-        np.asarray(addresses, dtype=np.int64),
-        np.asarray(miss_positions, dtype=np.int64),
+    order, start, evicted = residencies(blocks[heads], num_sets)
+    word = words[heads][order] & (words_per_block - 1)
+    # Running minimum word per episode: lowering every later episode by
+    # a whole block keeps the accumulated minimum from leaking across
+    # episode starts, while differences within an episode are unchanged.
+    level = word - np.cumsum(start) * words_per_block
+    valid_from = np.minimum.accumulate(level)
+    previous = np.zeros_like(valid_from)    # row 0 always starts one
+    previous[1:] = valid_from[:-1]
+    miss_sorted = start | (level < previous)
+    fill = np.where(start, words_per_block - word, previous - level)
+    words_transferred = int(fill[miss_sorted].sum())
+    positions, evictors = trace_order(
+        heads, order, miss_sorted, evicted, words_shift
     )
-    extras["avg_fetch"] = words_transferred / misses if misses else 0.0
-    stats = CacheStats(
-        accesses=n,
-        misses=misses,
-        words_transferred=words_transferred,
-        extras=extras,
+
+    extras = _execution_run_stats(addresses, positions)
+    extras["avg_fetch"] = (
+        words_transferred / len(positions) if len(positions) else 0.0
     )
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            stats, cache_bytes, block_bytes, "partial",
-            set_misses=set_misses, sampler=sampler,
-            addresses=addresses, probe=probe,
-        )
-    return stats
+    return finish(
+        addresses, positions, evictors, words_transferred,
+        organization="partial", cache_bytes=cache_bytes,
+        block_bytes=block_bytes, num_sets=num_sets,
+        granule_bytes=BUS_WORD_BYTES, extras=extras,
+    )
 
 
 def _execution_run_stats(

@@ -16,6 +16,13 @@ module implements the two classic schemes over a direct-mapped cache:
 Reported: demand miss ratio, total traffic (demand + prefetch), and
 prefetch accuracy (fraction of prefetched blocks that were used before
 eviction).
+
+The loop runs over the trace's block runs only.  After a run's first
+access its block is resident with the tag bit clear (a miss installs it
+untagged; a first use clears the bit), so every repeat is a plain hit
+that changes nothing — except in a one-set cache, where the next-line
+prefetch displaces the block being fetched; that geometry replays every
+access.
 """
 
 from __future__ import annotations
@@ -24,14 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
-    CacheStats,
-    MissSampler,
-    emit_cache_sim,
-    new_probe,
-    require_power_of_two,
+    as_trace,
+    check_geometry,
+    finish,
+    granule_runs,
 )
 
 __all__ = ["PrefetchStats", "simulate_prefetch"]
@@ -76,50 +81,35 @@ def simulate_prefetch(
 
     ``policy`` is ``"on-miss"`` or ``"tagged"``.
     """
-    require_power_of_two(cache_bytes, "cache_bytes")
-    require_power_of_two(block_bytes, "block_bytes")
-    if block_bytes > cache_bytes:
-        raise ValueError("block larger than cache")
+    num_sets = check_geometry(cache_bytes, block_bytes)
     if policy not in ("on-miss", "tagged"):
         raise ValueError(f"unknown prefetch policy {policy!r}")
     tagged_policy = policy == "tagged"
-
-    num_sets = cache_bytes // block_bytes
+    addresses = as_trace(addresses)
     shift = block_bytes.bit_length() - 1
-    set_mask = num_sets - 1
-    words_per_block = block_bytes // BUS_WORD_BYTES
+    if num_sets > 1:
+        heads, blocks = granule_runs(addresses, shift)
+    else:   # the next line displaces the block being fetched
+        heads, blocks = np.arange(len(addresses)), addresses >> shift
 
+    set_mask = num_sets - 1
     tags = [-1] * num_sets
     tag_bit = [False] * num_sets      # block arrived by prefetch, unused yet
-    #: Per-set demand-miss counts (prefetch fills are not misses).
-    set_misses = [0] * num_sets
-
-    recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
-    # 3C applies to the demand-miss stream; the shadow has no prefetcher,
-    # so "conflict" here is a demand miss a fully-associative non-
-    # prefetching cache of the same size would have hit.
-    probe = new_probe(block_bytes, cache_bytes)
-
-    demand_misses = 0
+    positions: list[int] = []
+    evictors: list[int] = []
     prefetches = 0
     useful = 0
-    transferred = 0
 
     def prefetch(block: int) -> None:
-        nonlocal prefetches, transferred
+        nonlocal prefetches
         index = block & set_mask
         if tags[index] == block:
             return                    # already resident
         tags[index] = block
         tag_bit[index] = True
         prefetches += 1
-        transferred += words_per_block
 
-    for position, address in enumerate(
-        map(int, np.asarray(addresses, dtype=np.int64))
-    ):
-        block = address >> shift
+    for position, block in zip(heads.tolist(), blocks.tolist()):
         index = block & set_mask
         if tags[index] == block:
             if tag_bit[index]:
@@ -129,37 +119,27 @@ def simulate_prefetch(
                 if tagged_policy:
                     prefetch(block + 1)
             continue
-        demand_misses += 1
-        set_misses[index] += 1
-        if sampler is not None:
-            sampler.offer(address)
-        if probe is not None:
-            probe.miss(position, tags[index])
-        transferred += words_per_block
+        positions.append(position)
+        evictors.append(tags[index])
         tags[index] = block
         tag_bit[index] = False
         prefetch(block + 1)
 
+    words_per_block = block_bytes // BUS_WORD_BYTES
     stats = PrefetchStats(
         accesses=len(addresses),
-        demand_misses=demand_misses,
+        demand_misses=len(positions),
         prefetches=prefetches,
         useful_prefetches=useful,
-        words_transferred=transferred,
+        words_transferred=(len(positions) + prefetches) * words_per_block,
     )
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            CacheStats(
-                accesses=stats.accesses,
-                misses=stats.demand_misses,
-                words_transferred=stats.words_transferred,
-                extras={
-                    "prefetches": float(prefetches),
-                    "accuracy": stats.accuracy,
-                },
-            ),
-            cache_bytes, block_bytes, f"prefetch/{policy}",
-            set_misses=set_misses, sampler=sampler,
-            addresses=addresses, probe=probe,
-        )
+    # 3C applies to the demand-miss stream; the shadow has no prefetcher,
+    # so "conflict" here is a demand miss a fully-associative non-
+    # prefetching cache of the same size would have hit.
+    finish(
+        addresses, positions, evictors, stats.words_transferred,
+        organization=f"prefetch/{policy}", cache_bytes=cache_bytes,
+        block_bytes=block_bytes, num_sets=num_sets,
+        extras={"prefetches": float(prefetches), "accuracy": stats.accuracy},
+    )
     return stats

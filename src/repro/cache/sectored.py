@@ -10,20 +10,32 @@ miss transfers ``sector_bytes`` instead of ``block_bytes`` — halving-or-
 better the traffic of traffic-heavy programs at the cost of forgoing the
 spatial locality the placement algorithm worked to create (which is why
 the paper finds the miss-ratio increase can outweigh the gain).
+
+The kernel is exact and vectorized.  The tag array behaves exactly like a
+plain direct-mapped cache of the same blocks, so a block's *residency
+episode* is a maximal same-block stretch of its set's references in
+stable set order (see :func:`repro.cache.base.residencies`).  Valid bits
+start empty at the episode's first reference and a sector, once loaded,
+stays valid until the episode ends.  So a reference misses iff it is the
+**first touch of its sector within its block's episode**, and it evicts
+the previous tag only when it opens the episode.  Repeats of the sector
+just fetched always hit, so the kernel sees only sector runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
-    emit_cache_sim,
-    new_probe,
+    as_trace,
+    check_geometry,
+    finish,
+    granule_runs,
     require_power_of_two,
+    residencies,
+    trace_order,
 )
 
 __all__ = ["simulate_sectored"]
@@ -40,68 +52,36 @@ def simulate_sectored(
     The paper's Table 8 uses 8-byte sectors inside 64-byte blocks of a
     2048-byte cache.
     """
-    require_power_of_two(cache_bytes, "cache_bytes")
-    require_power_of_two(block_bytes, "block_bytes")
     require_power_of_two(sector_bytes, "sector_bytes")
-    if not sector_bytes <= block_bytes <= cache_bytes:
+    num_sets = check_geometry(cache_bytes, block_bytes)
+    if sector_bytes > block_bytes:
         raise ValueError("need sector_bytes <= block_bytes <= cache_bytes")
 
-    num_sets = cache_bytes // block_bytes
-    block_shift = block_bytes.bit_length() - 1
+    addresses = as_trace(addresses)
     sector_shift = sector_bytes.bit_length() - 1
-    sectors_per_block = block_bytes // sector_bytes
-    sector_mask_bits = sectors_per_block - 1
-    set_mask = num_sets - 1
-    words_per_sector = sector_bytes // BUS_WORD_BYTES
+    # Sector numbers per block, as a shift: a block's first sector is
+    # ``block << sectors_shift``, which is how a displaced tag is charged
+    # as the evictor in the 3C probe (the fill unit is a sector).
+    sectors_shift = block_bytes.bit_length() - 1 - sector_shift
+    heads, sectors = granule_runs(addresses, sector_shift)
+    order, start, evicted = residencies(sectors >> sectors_shift, num_sets)
 
-    tags = [-1] * num_sets
-    valid = [0] * num_sets            # bit k set = sector k present
-    #: Per-set miss counts (block and sector misses both land here).
-    set_misses = [0] * num_sets
-
-    recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
-    # The fill unit is a sector, so the 3C shadow is a fully-associative
-    # sector cache of the same capacity; the evictor of a *block* miss is
-    # the displaced tag, scaled to its first sector's granule number.
-    probe = new_probe(sector_bytes, cache_bytes)
-    sectors_shift = block_shift - sector_shift
-
-    misses = 0
-    for position, address in enumerate(map(int, addresses)):
-        block = address >> block_shift
-        index = block & set_mask
-        sector = (address >> sector_shift) & sector_mask_bits
-        bit = 1 << sector
-        if tags[index] == block:
-            if valid[index] & bit:
-                continue
-            valid[index] |= bit       # sector miss within a present block
-            if probe is not None:
-                probe.miss(position)  # no eviction: lazy sector fill
-        else:
-            if probe is not None:
-                evicted = tags[index]
-                probe.miss(
-                    position,
-                    -1 if evicted < 0 else evicted << sectors_shift,
-                )
-            tags[index] = block       # block miss: only this sector loads
-            valid[index] = bit
-        misses += 1
-        set_misses[index] += 1
-        if sampler is not None:
-            sampler.offer(address)
-
-    stats = CacheStats(
-        accesses=len(addresses),
-        misses=misses,
-        words_transferred=misses * words_per_sector,
+    # Sorted row -> (episode, sector within the block); a miss is the
+    # first row of each distinct key.
+    episode = np.cumsum(start)
+    offset = sectors[order] & ((1 << sectors_shift) - 1)
+    _, first = np.unique(
+        (episode << sectors_shift) | offset, return_index=True
     )
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            stats, cache_bytes, block_bytes, f"sectored/{sector_bytes}B",
-            set_misses=set_misses, sampler=sampler,
-            addresses=addresses, probe=probe,
-        )
-    return stats
+    miss_sorted = np.zeros(len(heads), dtype=bool)
+    miss_sorted[first] = True
+    positions, evictors = trace_order(
+        heads, order, miss_sorted, evicted, sectors_shift
+    )
+    return finish(
+        addresses, positions, evictors,
+        len(positions) * (sector_bytes // BUS_WORD_BYTES),
+        organization=f"sectored/{sector_bytes}B", cache_bytes=cache_bytes,
+        block_bytes=block_bytes, num_sets=num_sets,
+        granule_bytes=sector_bytes,
+    )

@@ -5,20 +5,27 @@ associative* design-target miss ratios; this module lets us simulate that
 organisation directly on our own traces, so the headline comparison
 ("an optimized direct-mapped cache beats an unoptimized fully associative
 one") can be reproduced end to end rather than only against constants.
+
+The kernel replays only the trace's block runs.  A repeat of the block
+just referenced is a hit that makes it most recently used, which it
+already is, so dropping it changes neither the miss stream nor any set's
+LRU order; the loop then touches each run head once, as a Python int.
+:meth:`SetAssociativeCache.access` stays the access-by-access reference
+the tests compare the kernel with.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro import obs
 from repro.cache.base import (
     BUS_WORD_BYTES,
     CacheStats,
-    MissSampler,
-    emit_cache_sim,
-    new_probe,
-    require_power_of_two,
+    as_trace,
+    check_geometry,
+    finish,
+    granule_runs,
+    lru_misses,
 )
 
 __all__ = ["SetAssociativeCache", "simulate_set_associative", "simulate_fully_associative"]
@@ -35,22 +42,10 @@ class SetAssociativeCache:
     def __init__(
         self, cache_bytes: int, block_bytes: int, associativity: int
     ) -> None:
-        require_power_of_two(cache_bytes, "cache_bytes")
-        require_power_of_two(block_bytes, "block_bytes")
-        if block_bytes > cache_bytes:
-            raise ValueError("block larger than cache")
-        num_blocks = cache_bytes // block_bytes
-        if associativity < 1 or associativity > num_blocks:
-            raise ValueError(
-                f"associativity must be in [1, {num_blocks}], "
-                f"got {associativity}"
-            )
-        if num_blocks % associativity:
-            raise ValueError("associativity must divide the block count")
         self.cache_bytes = cache_bytes
         self.block_bytes = block_bytes
         self.associativity = associativity
-        self.num_sets = num_blocks // associativity
+        self.num_sets = check_geometry(cache_bytes, block_bytes, associativity)
         self._block_shift = block_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
         # Each set is an MRU-first list of block numbers.
@@ -96,51 +91,16 @@ def simulate_set_associative(
     associativity: int,
 ) -> CacheStats:
     """Run a full trace through an n-way LRU cache."""
-    cache = SetAssociativeCache(cache_bytes, block_bytes, associativity)
-    # Local rebinds for the hot loop.
-    shift = cache._block_shift
-    mask = cache._set_mask
-    sets = cache._sets
-    assoc = cache.associativity
-    set_misses = cache.set_misses
-    recorder = obs.current()
-    sampler = MissSampler() if recorder.enabled else None
-    probe = new_probe(block_bytes, cache_bytes)
-    seen: list[int] | None = [] if probe is not None else None
-    accesses = 0
-    misses = 0
-    for address in addresses:
-        accesses += 1
-        if seen is not None:
-            seen.append(address)
-        block = address >> shift
-        index = block & mask
-        lru = sets[index]
-        if lru and lru[0] == block:     # fast path: repeated block
-            continue
-        try:
-            lru.remove(block)
-        except ValueError:
-            misses += 1
-            set_misses[index] += 1
-            if sampler is not None:
-                sampler.offer(address)
-            evicted = -1
-            if len(lru) >= assoc:
-                evicted = lru.pop()
-            if probe is not None:
-                probe.miss(accesses - 1, evicted)
-        lru.insert(0, block)
-    cache.accesses = accesses
-    cache.misses = misses
-    stats = cache.stats()
-    if recorder.enabled or probe is not None:
-        emit_cache_sim(
-            stats, cache_bytes, block_bytes, f"{assoc}-way",
-            set_misses=set_misses, sampler=sampler,
-            addresses=seen, probe=probe,
-        )
-    return stats
+    num_sets = check_geometry(cache_bytes, block_bytes, associativity)
+    addresses = as_trace(addresses)
+    heads, blocks = granule_runs(addresses, block_bytes.bit_length() - 1)
+    positions, evictors = lru_misses(heads, blocks, num_sets, associativity)
+    return finish(
+        addresses, positions, evictors,
+        len(positions) * (block_bytes // BUS_WORD_BYTES),
+        organization=f"{associativity}-way", cache_bytes=cache_bytes,
+        block_bytes=block_bytes, num_sets=num_sets,
+    )
 
 
 def simulate_fully_associative(

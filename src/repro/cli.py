@@ -855,6 +855,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.cache.base import check_geometry
     from repro.diagnose.explain import explain
     from repro.workloads.registry import workload_names
 
@@ -866,6 +867,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         return 2
     if not _check_opt(args.opt, "explain"):
+        return 2
+    try:
+        check_geometry(args.cache_bytes, args.block_bytes, args.assoc)
+    except ValueError as exc:
+        print(f"repro explain: {exc}", file=sys.stderr)
         return 2
     print(explain(
         args.workload,

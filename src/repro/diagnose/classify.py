@@ -37,10 +37,11 @@ organised in those granules.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.cache.base import granule_runs, lru_misses
 
 __all__ = [
     "Attribution",
@@ -200,33 +201,15 @@ def fully_associative_miss_positions(
 ) -> np.ndarray:
     """Positions (trace order) missing in a fully-associative LRU cache.
 
-    Exact LRU over the *granule-transition* subsequence: an access to the
-    same granule as its predecessor always hits and only refreshes a
-    recency the transition already established, so skipping it changes
-    nothing — which turns an O(trace) Python loop into an O(transitions)
-    one (instruction fetch is overwhelmingly sequential-within-granule).
+    The set-associative simulator's kernel with one set: exact LRU over
+    the *granule runs*, since an access to the same granule as its
+    predecessor always hits and only refreshes a recency the run head
+    already established (instruction fetch is overwhelmingly
+    sequential-within-granule).
     """
-    n = len(granules)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    keep[1:] = granules[1:] != granules[:-1]
-    transition_positions = np.nonzero(keep)[0]
-
-    resident: OrderedDict[int, None] = OrderedDict()
-    miss_positions: list[int] = []
-    move_to_end = resident.move_to_end
-    for position in transition_positions:
-        granule = int(granules[position])
-        if granule in resident:
-            move_to_end(granule)
-        else:
-            miss_positions.append(int(position))
-            if len(resident) >= capacity_granules:
-                resident.popitem(last=False)
-            resident[granule] = None
-    return np.asarray(miss_positions, dtype=np.int64)
+    heads, runs = granule_runs(granules, 0)
+    positions, _ = lru_misses(heads, runs, 1, capacity_granules)
+    return np.asarray(positions, dtype=np.int64)
 
 
 def _first_touch_positions(granules: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ geometry — zero interpreter steps.
 from __future__ import annotations
 
 from repro import diagnose
+from repro.cache.base import check_geometry
 from repro.diagnose.classify import Attribution
 from repro.obs import context
 
@@ -112,7 +113,11 @@ def explain_with_runner(
     pass-free pipeline on code bytes, miss ratio, and the 3C mix.  When
     it is ``None``/``"none"`` the output is byte-identical to a build
     without the middle-end.
+
+    Raises :class:`ValueError` before touching the runner when the
+    geometry is not a cache (see :func:`repro.cache.base.check_geometry`).
     """
+    check_geometry(cache_bytes, block_bytes, assoc)
     collector = diagnose.Collector()
     with context.use(collector=collector):
         for which in (layout, baseline):

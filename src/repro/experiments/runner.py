@@ -90,7 +90,6 @@ class ExperimentRunner:
         self.store = store
         self.telemetry = telemetry
         self._artifacts: dict[str, WorkloadArtifacts] = {}
-        self._addresses: dict[tuple, np.ndarray] = {}
 
     def names(self) -> list[str]:
         """The benchmark names, in paper table order."""
@@ -366,31 +365,23 @@ class ExperimentRunner:
         self, name: str, layout: str = "optimized",
         scaling: float = 1.0, seed: int = 0,
     ) -> np.ndarray:
-        """The instruction-fetch address trace under a layout (cached for
-        the unscaled optimized and natural layouts, which every cache table
-        replays)."""
-        key = (name, layout, scaling, seed)
+        """The instruction-fetch address trace under a layout.
+
+        Expanded afresh on every call: the block trace is the compact
+        form (a default-scale sweep's expanded traces hold about 100 MB,
+        and re-expanding them all costs about 0.3 s).
+        """
         collector = context.current().collector
-        # A cached trace can only short-circuit when no attribution is
-        # running: each Collector needs the symbol table registered into
-        # *it*, so a cache hit still rebuilds the (cheap) image below.
-        if key in self._addresses and not (
-            collector.enabled and scaling == 1.0
-        ):
-            return self._addresses[key]
         art = self.artifacts(name)
         recorder = obs.current()
         with recorder.span("addresses", cat="pipeline",
                            workload=name, layout=layout):
             image = self.image_for(name, layout, scaling, seed)
-            if key in self._addresses:
-                addresses = self._addresses[key]
-            else:
-                trace = (
-                    art.trace if layout in ("optimized", "conflict_aware")
-                    else art.original_trace
-                )
-                addresses = trace.addresses(image)
+            trace = (
+                art.trace if layout in ("optimized", "conflict_aware")
+                else art.original_trace
+            )
+            addresses = trace.addresses(image)
         if collector.enabled and scaling == 1.0:
             # The address->symbol map every attribution under this
             # (workload, layout) resolves misses through.  Trace labels
@@ -405,8 +396,6 @@ class ExperimentRunner:
                 name, layout,
                 diagnose.SymbolTable.from_image(image, selections),
             )
-        if scaling == 1.0 and layout in ("optimized", "natural"):
-            self._addresses[key] = addresses
         return addresses
 
 

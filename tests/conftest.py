@@ -5,10 +5,17 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.interp.profiler import profile_program
 from repro.ir.builder import ProgramBuilder
 from repro.ir.program import Program
+
+
+#: A larger example budget for the property suites:
+#: ``pytest --hypothesis-profile=deep``.  Tests that pin their own
+#: ``max_examples`` keep it.
+settings.register_profile("deep", max_examples=1500, deadline=None)
 
 
 @pytest.fixture(autouse=True, scope="session")

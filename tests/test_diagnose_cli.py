@@ -43,6 +43,26 @@ class TestExplain:
         assert main(["explain", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("geometry,message", [
+        (["--cache-bytes", "1000"], "cache_bytes must be a positive power"),
+        (["--assoc", "3"], "associativity must divide"),
+        (["--assoc", "0"], "associativity must be in [1, 32], got 0"),
+        (["--block-bytes", "4096"], "block larger than cache"),
+    ])
+    def test_bad_geometry_is_a_clean_exit_before_any_work(
+        self, capsys, tmp_path, geometry, message
+    ):
+        assert main([
+            "explain", "cccp", "--scale", "small",
+            "--cache-dir", str(tmp_path), *geometry,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro explain: {message}")
+        assert len(captured.err.splitlines()) == 1
+        # Nothing was built, profiled or placed: the store is untouched.
+        assert not any(tmp_path.iterdir())
+
     def test_top_bounds_the_rankings(self, capsys, tmp_path):
         assert main([
             "explain", "cccp", "--scale", "small",

@@ -30,10 +30,13 @@ class TestArtifacts:
 
 
 class TestAddresses:
-    def test_optimized_addresses_cached(self, small_runner):
+    def test_addresses_expanded_afresh(self, small_runner):
+        # The runner keeps block traces, not their expansions: a default-
+        # scale sweep's expanded traces hold about 100 MB.
         a = small_runner.addresses("wc", "optimized")
         b = small_runner.addresses("wc", "optimized")
-        assert a is b
+        assert a is not b
+        assert np.array_equal(a, b)
 
     def test_scaled_addresses_not_cached(self, small_runner):
         a = small_runner.addresses("wc", "optimized", scaling=0.5)

@@ -78,6 +78,23 @@ class TestNormalizeRequest:
         with pytest.raises(RequestError):
             normalize_request(bad)
 
+    @pytest.mark.parametrize("geometry,message", [
+        ({"cache_bytes": 1000}, "cache_bytes must be a positive power"),
+        ({"block_bytes": 24}, "block_bytes must be a positive power"),
+        ({"cache_bytes": 64, "block_bytes": 128}, "block larger than cache"),
+        ({"assoc": 3}, "associativity must divide"),
+        ({"assoc": 64}, "associativity must be in [1, 32]"),
+    ])
+    def test_rejects_explain_geometry_that_is_not_a_cache(
+        self, geometry, message
+    ):
+        # In range field by field, but no cache has this shape: rejected
+        # at the door instead of journaled, queued and failed.
+        with pytest.raises(RequestError) as info:
+            normalize_request({"kind": "explain", "workload": "wc",
+                               **geometry})
+        assert message in str(info.value)
+
     def test_fingerprint_ignores_spelling(self):
         minimal = normalize_request({"kind": "table", "table": "table6"})
         spelled = normalize_request(
@@ -267,6 +284,14 @@ class TestHTTP:
             client.submit({"kind": "table", "table": "table99"}, retries=0)
         assert info.value.status == 400
         assert "table" in str(info.value)
+
+    def test_bad_explain_geometry_is_400(self, stub_service):
+        client = ServiceClient(stub_service.url)
+        with pytest.raises(ServiceError) as info:
+            client.submit({"kind": "explain", "workload": "wc",
+                           "assoc": 3}, retries=0)
+        assert info.value.status == 400
+        assert "associativity" in str(info.value)
 
     def test_invalid_json_is_400(self, stub_service):
         request = urllib.request.Request(
