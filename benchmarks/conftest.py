@@ -98,9 +98,11 @@ def _write_snapshot(stem: str, fields: dict) -> None:
     replacing it, so a partial bench selection updates its own entries
     without clobbering sections another selection populated — the bug
     that left ``BENCH_observability.json`` with empty runner sections.
-    The write is staged-tmp → fsync → ``os.replace`` (the journal
-    discipline): readers never see a torn snapshot.
+    The write is :func:`repro.durable.write_atomic`: readers never see
+    a torn snapshot.
     """
+    from repro import durable
+
     path = os.path.join(_REPO_ROOT, f"BENCH_{stem}.json")
     document: dict = {}
     if os.path.exists(path):
@@ -116,12 +118,9 @@ def _write_snapshot(stem: str, fields: dict) -> None:
             document[key] = merged
         else:
             document[key] = value
-    stage = f"{path}.tmp-{os.getpid()}"
-    with open(stage, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(stage, path)
+    durable.write_atomic(
+        path, [json.dumps(document, indent=2, sort_keys=True)]
+    )
     _ledger_append(stem, document)
 
 

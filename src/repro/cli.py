@@ -425,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo_check.add_argument("--slo", default=None, metavar="FILE",
                            help="SLO objectives file (repro-slo-v1; "
                                 "default: built-in service objectives)")
-    slo_check.add_argument("--ledger", default=None, metavar="PATH",
-                           help="perf ledger backing the file's 'ledger' "
-                                "objectives (absent: those are skipped)")
 
     perf = sub.add_parser(
         "perf",
@@ -1192,19 +1189,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         print(f"repro slo check: cannot read {args.document}: {exc}",
               file=sys.stderr)
         return 2
-    ledger_records = None
-    if args.ledger:
-        from repro.perf.ledger import LedgerError, PerfLedger
-
-        try:
-            ledger_records = PerfLedger(args.ledger).read().records
-        except LedgerError as exc:
-            print(f"repro slo check: {exc}", file=sys.stderr)
-            return 2
     try:
-        results = evaluate_slo(
-            document, slo=slo, ledger_records=ledger_records,
-        )
+        results = evaluate_slo(document, slo=slo)
     except SloError as exc:
         print(f"repro slo check: {exc}", file=sys.stderr)
         return 2

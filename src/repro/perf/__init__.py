@@ -4,8 +4,8 @@ Five legs, each a module:
 
 - :mod:`repro.perf.ledger` — the append-only, checksummed
   ``repro-perf-v1`` JSONL ledger: one record per bench/CI run (git sha,
-  label, metric key→value pairs), written with the same fsync
-  discipline as the service journal and read back torn-tail-tolerantly.
+  label, metric key→value pairs), sealed, appended and read back
+  torn-tail-tolerantly by :mod:`repro.durable`, as the journal is.
 - :mod:`repro.perf.sentinel` — the regression sentinel behind
   ``repro perf check``: the newest record against a rolling window,
   median ± k·MAD per metric, direction-aware.

@@ -12,18 +12,16 @@ client retrying a POST whose response was lost attaches to the ticket
 it already created.
 
 On-disk layout (``<root>/segment-NNNNNN.jsonl``): JSON-lines segments of
-checksummed records mirroring the ``repro-artifact-v2`` discipline::
+records sealed by :mod:`repro.durable`::
 
     {"format": "repro-journal-v1", "seq": 17, "ts": ...,
      "event": "accept", "data": {...}, "checksum": "<sha256[:16]>"}
 
-where ``checksum`` covers the canonical JSON of every other field.
-Appends are flushed and ``fsync``'d before returning — a record the
-daemon acted on is a record a restart will see.  A torn tail (the crash
-landed mid-write) is detected by checksum/parse failure, truncated
-away, and counted; a corrupt record in the middle of a segment (torn
-storage, injected via ``corrupt:journal-append``) is skipped and
-counted, never trusted.
+Appends are durable before they return — a record the daemon acted on
+is a record a restart will see.  Replay truncates a torn tail on the
+last segment (the crash landed mid-write) and reports its size; a
+corrupt record anywhere else (torn storage, injected via
+``corrupt:journal-append``) is skipped and counted, never trusted.
 
 Replay ends with :meth:`JobJournal.compact`: the surviving tickets are
 rewritten as ``snapshot`` records into one fresh segment and the old
@@ -39,12 +37,12 @@ with :class:`JournalLocked` instead of interleaving records.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 
+from repro import durable
 from repro.engine import faults
+from repro.service.queue import Ticket
 
 try:
     import fcntl
@@ -56,7 +54,6 @@ __all__ = [
     "JournalError",
     "JournalLocked",
     "JournalReplay",
-    "ticket_doc",
 ]
 
 #: Format tag carried by every record; unknown formats fail validation.
@@ -70,8 +67,6 @@ EVENTS = ("accept", "coalesce", "start", "requeue", "finish", "snapshot")
 #: for a compact at the next quiet moment.
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
 
-_CHECKSUM_BYTES = 16
-
 
 class JournalError(RuntimeError):
     """A journal that cannot be opened or written."""
@@ -81,34 +76,9 @@ class JournalLocked(JournalError):
     """Another live daemon already owns this journal directory."""
 
 
-def _record_checksum(record: dict) -> str:
-    payload = json.dumps(
-        {k: v for k, v in record.items() if k != "checksum"},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:_CHECKSUM_BYTES]
-
-
-def ticket_doc(ticket) -> dict:
-    """The full journal document for one ticket (used by ``snapshot``)."""
-    return {
-        "id": ticket.id,
-        "request": ticket.request,
-        "fingerprint": ticket.fingerprint,
-        "submission": ticket.submission,
-        "trace": ticket.trace,
-        "state": ticket.state,
-        "created": ticket.created,
-        "started": ticket.started,
-        "finished": ticket.finished,
-        "coalesced": ticket.coalesced,
-        "attempt": ticket.attempt,
-        "requeues": ticket.requeues,
-        "recovered": ticket.recovered,
-        "result": ticket.result,
-        "error": ticket.error,
-        "failure": ticket.failure,
-    }
+def _valid_record(record: dict) -> bool:
+    return (record.get("event") in EVENTS
+            and isinstance(record.get("data"), dict))
 
 
 class JournalReplay:
@@ -126,44 +96,17 @@ class JournalReplay:
         self.corrupt = 0
         self.truncated_bytes = 0
         self.segments = 0
-        self.max_id = 0
 
     def ticket_states(self) -> list[dict]:
         return [self.tickets[ticket_id] for ticket_id in self.order]
 
-    def _track_id(self, ticket_id: str) -> None:
-        # Ids are ``job-NNNNNN``; the restart's counter resumes past the
-        # highest one ever issued so recovered and new ids never clash.
-        try:
-            self.max_id = max(self.max_id, int(ticket_id.rsplit("-", 1)[1]))
-        except (IndexError, ValueError):
-            pass
-
     def apply(self, record: dict) -> None:
         event, data = record["event"], record["data"]
         if event in ("accept", "snapshot"):
-            doc = {
-                "id": data["id"],
-                "request": data["request"],
-                "fingerprint": data["fingerprint"],
-                "submission": data.get("submission"),
-                "trace": data.get("trace"),
-                "state": data.get("state", "queued"),
-                "created": data.get("created"),
-                "started": data.get("started"),
-                "finished": data.get("finished"),
-                "coalesced": data.get("coalesced", 0),
-                "attempt": data.get("attempt", 0),
-                "requeues": data.get("requeues", 0),
-                "recovered": data.get("recovered", False),
-                "result": data.get("result"),
-                "error": data.get("error"),
-                "failure": data.get("failure"),
-            }
+            doc = Ticket.from_doc(data).doc()
             if doc["id"] not in self.tickets:
                 self.order.append(doc["id"])
             self.tickets[doc["id"]] = doc
-            self._track_id(doc["id"])
             return
         doc = self.tickets.get(data.get("id"))
         if doc is None:
@@ -197,14 +140,12 @@ class JobJournal:
         self,
         root: str,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        sync: bool = True,
         registry=None,
     ) -> None:
         self.root = os.path.abspath(root)
         self.max_bytes = max_bytes
-        self.sync = sync
-        # Optional MetricsRegistry: append() feeds the flush+fsync wall
-        # time into service.journal_fsync_s so /metrics exposes the
+        # Optional MetricsRegistry: append() feeds the durable write's
+        # wall time into service.journal_fsync_s so /metrics exposes the
         # durability cost every 202 pays.
         self.registry = registry
         self._seq = 0
@@ -279,7 +220,7 @@ class JobJournal:
             names = self._segment_names()
             path = (os.path.join(self.root, names[-1]) if names
                     else self._next_segment_path())
-            self._handle = open(path, "a", encoding="utf-8")
+            self._handle = durable.open_log(path)
         return self._handle
 
     def size_bytes(self) -> int:
@@ -294,6 +235,16 @@ class JobJournal:
 
     # -- writing -----------------------------------------------------------
 
+    def _seal(self, event: str, data: dict) -> str:
+        self._seq += 1
+        return durable.seal({
+            "format": JOURNAL_FORMAT,
+            "seq": self._seq,
+            "ts": time.time(),
+            "event": event,
+            "data": data,
+        })
+
     def append(self, event: str, data: dict) -> int:
         """Durably append one record; returns its sequence number.
 
@@ -304,27 +255,15 @@ class JobJournal:
         """
         if event not in EVENTS:
             raise ValueError(f"unknown journal event {event!r}")
-        self._seq += 1
-        record = {
-            "format": JOURNAL_FORMAT,
-            "seq": self._seq,
-            "ts": time.time(),
-            "event": event,
-            "data": data,
-        }
-        record["checksum"] = _record_checksum(record)
-        line = json.dumps(record, sort_keys=True)
+        line = self._seal(event, data)
         if faults.fires("corrupt", "journal-append", event):
             # A torn record: half the line, no newline discipline broken
             # (replay must skip it by checksum, not crash).
             line = line[: max(4, len(line) // 2)]
         try:
             handle = self._open_for_append()
-            handle.write(line + "\n")
             t0 = time.perf_counter()
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
+            durable.append(handle, line)
             if self.registry is not None:
                 self.registry.histogram("service.journal_fsync_s").observe(
                     time.perf_counter() - t0
@@ -353,59 +292,28 @@ class JobJournal:
         replay.segments = len(names)
         for index, name in enumerate(names):
             path = os.path.join(self.root, name)
-            last_segment = index == len(names) - 1
-            good_end = 0
-            bad_after_good = 0
             try:
-                with open(path, "rb") as handle:
-                    offset = 0
-                    for raw in handle:
-                        offset += len(raw)
-                        if should_abort is not None and should_abort():
-                            return replay
-                        record = self._parse_record(raw)
-                        if record is None:
-                            replay.corrupt += 1
-                            bad_after_good += 1
-                            continue
-                        replay.records += 1
-                        self._seq = max(self._seq, record.get("seq", 0))
-                        replay.apply(record)
-                        good_end = offset
-                        bad_after_good = 0
+                scan = durable.read(path, JOURNAL_FORMAT, _valid_record)
             except OSError:
                 continue
-            if last_segment and bad_after_good:
+            replay.corrupt += scan.corrupt
+            for record in scan.records:
+                if should_abort is not None and should_abort():
+                    return replay
+                replay.records += 1
+                self._seq = max(self._seq, record.get("seq", 0))
+                replay.apply(record)
+            if index == len(names) - 1 and scan.torn:
                 # The trailing bad records are a torn tail from the
                 # crash, not corruption to preserve: cut them so the
                 # next append starts at a clean line boundary.
                 try:
-                    size = os.path.getsize(path)
-                    with open(path, "rb+") as handle:
-                        handle.truncate(good_end)
-                    replay.truncated_bytes += size - good_end
-                    replay.corrupt -= bad_after_good
+                    os.truncate(path, scan.tail)
                 except OSError:
-                    pass
+                    continue
+                replay.truncated_bytes += scan.size - scan.tail
+                replay.corrupt -= scan.torn
         return replay
-
-    @staticmethod
-    def _parse_record(raw: bytes) -> dict | None:
-        try:
-            record = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        if record.get("format") != JOURNAL_FORMAT:
-            return None
-        if record.get("event") not in EVENTS:
-            return None
-        if not isinstance(record.get("data"), dict):
-            return None
-        if record.get("checksum") != _record_checksum(record):
-            return None
-        return record
 
     # -- compaction --------------------------------------------------------
 
@@ -426,29 +334,12 @@ class JobJournal:
                 pass
             self._handle = None
         path = self._next_segment_path()
-        stage = f"{path}.tmp-{os.getpid()}"
         try:
-            with open(stage, "w", encoding="utf-8") as handle:
-                for doc in ticket_docs:
-                    self._seq += 1
-                    record = {
-                        "format": JOURNAL_FORMAT,
-                        "seq": self._seq,
-                        "ts": time.time(),
-                        "event": "snapshot",
-                        "data": doc,
-                    }
-                    record["checksum"] = _record_checksum(record)
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                if self.sync:
-                    os.fsync(handle.fileno())
-            os.replace(stage, path)
+            durable.write_atomic(
+                path,
+                (self._seal("snapshot", doc) + "\n" for doc in ticket_docs),
+            )
         except OSError as exc:
-            try:
-                os.unlink(stage)
-            except OSError:
-                pass
             raise JournalError(f"journal compaction failed: {exc}") from exc
         removed = 0
         for name in old_names:

@@ -54,9 +54,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-
-from repro.service.journal import ticket_doc
+from dataclasses import dataclass, field, fields
 
 __all__ = ["JobQueue", "QueueClosed", "QueueFull", "Ticket"]
 
@@ -100,6 +98,16 @@ class Ticket:
     requeues: int = 0             # how many attempts were reaped/retried
     recovered: bool = False       # re-enqueued by journal replay
     failure: dict | None = None   # structured cause once failed
+
+    def doc(self) -> dict:
+        """The full journal document for this ticket (``snapshot``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> Ticket:
+        """A ticket from a journal document; absent fields default."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls)
+                      if f.name in doc})
 
     def status_doc(self) -> dict:
         """The JSON document ``GET /v1/jobs/<id>`` returns."""
@@ -435,24 +443,7 @@ class JobQueue:
         max_id = 0
         with self._lock:
             for state in states:
-                ticket = Ticket(
-                    id=state["id"],
-                    request=state["request"],
-                    fingerprint=state["fingerprint"],
-                    state=state.get("state", "queued"),
-                    created=state.get("created") or time.time(),
-                    started=state.get("started"),
-                    finished=state.get("finished"),
-                    coalesced=state.get("coalesced", 0),
-                    result=state.get("result"),
-                    error=state.get("error"),
-                    submission=state.get("submission"),
-                    trace=state.get("trace"),
-                    attempt=state.get("attempt", 0),
-                    requeues=state.get("requeues", 0),
-                    recovered=state.get("recovered", False),
-                    failure=state.get("failure"),
-                )
+                ticket = Ticket.from_doc(state)
                 try:
                     max_id = max(max_id, int(ticket.id.rsplit("-", 1)[1]))
                 except (IndexError, ValueError):
@@ -482,14 +473,14 @@ class JobQueue:
     def snapshot_docs(self) -> list[dict]:
         """Full journal documents for every live ticket (compaction)."""
         with self._lock:
-            return [ticket_doc(t) for t in self._tickets.values()]
+            return [t.doc() for t in self._tickets.values()]
 
     def maybe_compact(self) -> bool:
         """Compact the journal once it outgrows its byte budget."""
         if self.journal is None or not self.journal.should_compact():
             return False
         with self._lock:
-            docs = [ticket_doc(t) for t in self._tickets.values()]
+            docs = [t.doc() for t in self._tickets.values()]
             self.journal.compact(docs)
         return True
 

@@ -64,6 +64,20 @@ class TestLedger:
         # The next append continues the sequence past the damage.
         assert ledger.append("xyz", "ci", {"a": 1.0})["seq"] == 4
 
+    def test_append_after_torn_tail_is_read_back(self, tmp_path):
+        """The first record after a torn tail is not glued onto it."""
+        ledger = PerfLedger(str(tmp_path / "led.jsonl"))
+        _seed(ledger, [1.0, 1.1, 1.2])
+        with open(ledger.path) as handle:
+            intact = handle.read()
+        with open(ledger.path, "w") as handle:
+            handle.write(intact + intact.splitlines()[0][:37])
+        ledger.append("xyz", "ci", {"a": 1.0})
+        view = ledger.read()
+        assert [r["seq"] for r in view.records] == [1, 2, 3, 4]
+        assert view.records[-1]["metrics"] == {"a": 1.0}
+        assert view.corrupt == 1            # the torn line, still counted
+
     def test_bitrot_and_wrong_format_skipped(self, tmp_path):
         ledger = PerfLedger(str(tmp_path / "led.jsonl"))
         _seed(ledger, [1.0, 1.1])
@@ -88,16 +102,6 @@ class TestLedger:
         view = ledger.read()
         assert [v for _, v in view.history("table6.wall_s")] == [1.0, 2.0]
         assert view.metric_names() == ["service.hit_rate", "table6.wall_s"]
-
-    def test_rewrite_refreshes_checksums(self, tmp_path):
-        ledger = PerfLedger(str(tmp_path / "led.jsonl"))
-        _seed(ledger, [1.0, 2.0])
-        records = ledger.read().records
-        records[0]["label"] = "edited"
-        ledger.rewrite(records)
-        view = ledger.read()
-        assert view.corrupt == 0
-        assert view.records[0]["label"] == "edited"
 
     def test_harvest_flattens_bench_snapshots(self, tmp_path):
         (tmp_path / "BENCH_search.json").write_text(json.dumps({

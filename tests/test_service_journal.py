@@ -7,13 +7,8 @@ import os
 
 import pytest
 
-from repro.service.journal import (
-    JOURNAL_FORMAT,
-    JobJournal,
-    JournalLocked,
-    _record_checksum,
-    ticket_doc,
-)
+from repro.durable import checksum
+from repro.service.journal import JOURNAL_FORMAT, JobJournal, JournalLocked
 from repro.service.queue import JobQueue, Ticket
 
 
@@ -56,7 +51,10 @@ class TestAppendReplay:
         assert states["job-000001"]["result"] == {"output": "rendered"}
         assert states["job-000001"]["submission"] == "sub-1"
         assert states["job-000002"]["state"] == "queued"
-        assert replay.max_id == 2
+        queue = JobQueue(depth=4)
+        queue.restore(replay.ticket_states())
+        ticket, _ = queue.submit({"kind": "table"}, "fp3")
+        assert ticket.id == "job-000003"    # the id counter resumes
 
     def test_orphaned_running_survives_as_running(self, tmp_path):
         journal = JobJournal(str(tmp_path / "j"))
@@ -75,7 +73,7 @@ class TestAppendReplay:
         with open(path) as handle:
             record = json.loads(handle.readline())
         assert record["format"] == JOURNAL_FORMAT
-        assert record["checksum"] == _record_checksum(record)
+        assert record["checksum"] == checksum(record)
         journal.close()
 
     def test_unknown_event_rejected(self, tmp_path):
@@ -179,7 +177,7 @@ class TestCompaction:
             journal.append("start", {"id": f"job-{n:06d}", "attempt": 0})
         before = journal.size_bytes()
         report = journal.compact(
-            [ticket_doc(self._ticket(n)) for n in range(1, 5)]
+            [self._ticket(n).doc() for n in range(1, 5)]
         )
         assert report["bytes_before"] == before
         assert report["segments_removed"] >= 1
@@ -190,7 +188,9 @@ class TestCompaction:
         assert replay.records == 4
         assert all(doc["state"] == "done" and doc["result"]
                    for doc in replay.ticket_states())
-        assert replay.max_id == 4
+        queue = JobQueue(depth=4)
+        queue.restore(replay.ticket_states())
+        assert queue.submit({"kind": "table"}, "fp-5")[0].id == "job-000005"
 
     def test_should_compact_tracks_byte_budget(self, tmp_path):
         journal = JobJournal(str(tmp_path / "j"), max_bytes=200)
